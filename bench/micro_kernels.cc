@@ -219,10 +219,12 @@ void BM_GradientEnqueued(benchmark::State& state) {
   std::vector<double> gradient;
   fixture.device.ResetModeledTime();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fixture.engine->Estimate(fixture.box));
-    fixture.engine->EnqueueGradient();
+    const std::size_t slot = fixture.engine->BeginEstimateSlot(fixture.box);
+    benchmark::DoNotOptimize(fixture.engine->FinishEstimateSlot(slot));
+    fixture.engine->EnqueueGradientSlot(slot);
     fixture.device.AdvanceHostTime(kQueryExecutionS);
-    fixture.engine->CollectGradient(&gradient);
+    fixture.engine->CollectGradientSlot(slot, &gradient);
+    fixture.engine->ReleaseSlot(slot);
     benchmark::DoNotOptimize(gradient.data());
   }
   ReportModeledCounters(state, fixture.device);

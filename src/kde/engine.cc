@@ -27,29 +27,58 @@ KdeEngine::KdeEngine(DeviceSample* sample, KernelType kernel)
     if (sh.backend == KernelBackend::kSimd) sample_->EnableSoaMirror(si);
     sh.bandwidth_dev = sh.device->CreateBuffer<double>(d);
     sh.point_scales = sh.device->CreateBuffer<float>(sample_->capacity());
-    // Slot 0 hosts every classic synchronous pass; EnableStreaming grows
-    // the ring.
-    sh.slots.resize(1);
-    AllocateSlot(sh, &sh.slots[0]);
   }
-  bounds_staging_.resize(1);
-  bounds_staging_[0].resize(2 * d);
+  // One slot up front, so the feedback context always names a real slot;
+  // admissions grow the ring from there.
+  ReleaseSlot(AcquireSlot());
   FKDE_CHECK_OK(SetBandwidth(ComputeScottBandwidth()));
 }
 
-void KdeEngine::AllocateSlot(EngineShard& sh, ShardSlot* slot) const {
-  const std::size_t d = sample_->dims();
-  const std::size_t capacity = sample_->capacity();
-  slot->bounds_dev = sh.device->CreateBuffer<double>(2 * d);
-  // Capacity-sized so rebalancing growth never reallocates under
-  // enqueued commands that captured the raw device pointers.
-  slot->contributions = sh.device->CreateBuffer<double>(capacity);
-  slot->grad_partials = sh.device->CreateBuffer<double>(d * capacity);
-  slot->grad_sums = sh.device->CreateBuffer<double>(d);
-  slot->est_sum = sh.device->CreateBuffer<double>(1);
-  // Sized once so enqueued gradient read-backs never race a
-  // reallocation.
-  slot->grad_staging.resize(d);
+std::size_t KdeEngine::AcquireSlot() {
+  std::size_t slot = 0;
+  while (slot < ring_.size() && ring_[slot].in_flight) ++slot;
+  if (slot == ring_.size()) {
+    const std::size_t d = sample_->dims();
+    const std::size_t capacity = sample_->capacity();
+    ring_.emplace_back().bounds_staging.resize(2 * d);
+    for (EngineShard& sh : shards_) {
+      ShardSlot& sl = sh.slots.emplace_back();
+      sl.bounds_dev = sh.device->CreateBuffer<double>(2 * d);
+      // Capacity-sized so rebalancing growth never reallocates under
+      // enqueued commands that captured the raw device pointers.
+      sl.contributions = sh.device->CreateBuffer<double>(capacity);
+      sl.grad_partials = sh.device->CreateBuffer<double>(d * capacity);
+      sl.grad_sums = sh.device->CreateBuffer<double>(d);
+      sl.est_sum = sh.device->CreateBuffer<double>(1);
+      // Sized once so enqueued gradient read-backs never race a
+      // reallocation.
+      sl.grad_staging.resize(d);
+    }
+  }
+  ring_[slot].in_flight = true;
+  return slot;
+}
+
+void KdeEngine::ReleaseSlot(std::size_t slot) {
+  FKDE_CHECK_MSG(slot < ring_.size() && ring_[slot].in_flight,
+                 "released a slot that is not in flight");
+  ring_[slot].in_flight = false;
+}
+
+void KdeEngine::TrimRing() {
+  FKDE_CHECK_MSG(slots_in_flight() == 0, "trimming a ring in flight");
+  // Drain before freeing: queued commands hold raw device pointers into
+  // the released slots' buffers.
+  for (EngineShard& sh : shards_) sh.device->default_queue()->Finish();
+  for (EngineShard& sh : shards_) sh.slots.resize(1);
+  ring_.resize(1);
+  feedback_slot_ = 0;
+}
+
+std::size_t KdeEngine::slots_in_flight() const {
+  return static_cast<std::size_t>(std::count_if(
+      ring_.begin(), ring_.end(),
+      [](const RingSlot& slot) { return slot.in_flight; }));
 }
 
 KdeEngine::~KdeEngine() {
@@ -109,12 +138,12 @@ void KdeEngine::UploadScales() {
 }
 
 void KdeEngine::PrepareForPass() {
-  // Streaming freeze: with slot chains in flight a migration would
-  // permute rows under enqueued commands, and even a safe one would make
-  // results depend on where in the stream the drain landed — breaking
-  // the streamed-equals-replay bitwise contract.
-  if (streaming_) return;
   if (shards_.size() < 2) return;
+  // With slot chains in flight a migration would permute rows under
+  // enqueued commands, and even a safe one would make results depend on
+  // where in the stream the drain landed — breaking the
+  // streamed-equals-replay bitwise contract.
+  if (slots_in_flight() > 0) return;
   sample_->MaybeRebalance();
   // Migration permutes local rows; the per-shard scale buffers are
   // local-indexed and must follow.
@@ -244,19 +273,24 @@ kb::ShardKernelView KdeEngine::ShardView(std::size_t shard) const {
 }
 
 double KdeEngine::Estimate(const Box& box) {
-  PrepareForPass();
-  std::vector<double> busy_before;
-  SnapshotBusy(&busy_before);
-  BeginEstimateSlot(box, 0);
-  const double estimate = FinishEstimateSlot(0);
-  ObservePass(busy_before);
+  const std::size_t slot = BeginEstimateSlot(box);
+  const double estimate = FinishEstimateSlot(slot);
+  ReleaseSlot(slot);
   return estimate;
 }
 
-void KdeEngine::BeginEstimateSlot(const Box& box, std::size_t slot) {
+std::size_t KdeEngine::BeginEstimateSlot(const Box& box) {
   const std::size_t d = dims();
-  FKDE_CHECK_MSG(slot < bounds_staging_.size(), "slot beyond ring depth");
-  double* staging = bounds_staging_[slot].data();
+  // Only an admission onto an empty ring may rebalance, and only its
+  // busy delta is attributable to one pass.
+  const bool alone = slots_in_flight() == 0;
+  std::vector<double> busy_before;
+  if (alone) {
+    PrepareForPass();
+    SnapshotBusy(&busy_before);
+  }
+  const std::size_t slot = AcquireSlot();
+  double* staging = ring_[slot].bounds_staging.data();
   StageBounds(box, staging);
 
   // Figure 3, steps 1-4, per shard and concurrently across shards: bounds
@@ -266,9 +300,9 @@ void KdeEngine::BeginEstimateSlot(const Box& box, std::size_t slot) {
   // reduction to one scalar, and the scalar read-back. Each shard's chain
   // is enqueued back-to-back on its own in-order queue into slot-private
   // buffers; `FinishEstimateSlot` waits on the read-backs and folds.
-  // Across the ring wrap the slot's previous chain has fully completed
-  // (its query was delivered before the slot came around), so the reuse
-  // WAR hazard is ordered by the in-order queue alone.
+  // A free slot's previous query was delivered before it was released,
+  // so its upload completed; any of its later commands still queued
+  // (gradient, Karma) are ordered before ours by the in-order queue.
   for (std::size_t si = 0; si < shards_.size(); ++si) {
     EngineShard& sh = shards_[si];
     ShardSlot& sl = sh.slots[slot];
@@ -300,6 +334,8 @@ void KdeEngine::BeginEstimateSlot(const Box& box, std::size_t slot) {
                              &sl.est_sum);
     sl.est_done = queue->EnqueueCopyToHost(sl.est_sum, 0, 1, &sl.est_staging);
   }
+  if (alone) ObservePass(busy_before);
+  return slot;
 }
 
 double KdeEngine::FinishEstimateSlot(std::size_t slot) {
@@ -312,7 +348,7 @@ double KdeEngine::FinishEstimateSlot(std::size_t slot) {
     }
     total += sl.est_staging;
   }
-  last_estimate_ = total / static_cast<double>(sample_size());
+  SetFeedbackContext(slot, total / static_cast<double>(sample_size()));
   return last_estimate_;
 }
 
@@ -362,6 +398,7 @@ double KdeEngine::EstimateWithGradient(const Box& box,
   StageBounds(box, staging);
   std::vector<double> busy_before;
   SnapshotBusy(&busy_before);
+  const std::size_t slot = AcquireSlot();
 
   // Per shard: bounds upload, the fused contribution+partials kernel, the
   // estimate reduction (one segment) with its scalar read-back, then ONE
@@ -371,14 +408,14 @@ double KdeEngine::EstimateWithGradient(const Box& box,
   std::vector<Event> done(shards_.size());
   for (std::size_t si = 0; si < shards_.size(); ++si) {
     EngineShard& sh = shards_[si];
-    ShardSlot& sl = sh.slots[0];
+    ShardSlot& sl = sh.slots[slot];
     const std::size_t rows = sample_->shard_size(si);
     sl.est_staging = 0.0;
     std::fill(sl.grad_staging.begin(), sl.grad_staging.end(), 0.0);
     if (rows == 0) continue;
     CommandQueue* queue = sh.device->default_queue();
     queue->EnqueueCopyToDevice(staging, 2 * d, &sl.bounds_dev);
-    EnqueueGradientPartialsKernel(si, 0);
+    EnqueueGradientPartialsKernel(si, slot);
     EnqueueReduceSumSegments(queue, sl.contributions, 0, rows, 1,
                              &sl.est_sum);
     queue->EnqueueCopyToHost(sl.est_sum, 0, 1, &sl.est_staging);
@@ -392,30 +429,17 @@ double KdeEngine::EstimateWithGradient(const Box& box,
   for (std::size_t si = 0; si < shards_.size(); ++si) {
     if (!done[si].valid()) continue;
     done[si].Wait();
-    total += shards_[si].slots[0].est_staging;
+    total += shards_[si].slots[slot].est_staging;
     for (std::size_t j = 0; j < d; ++j) {
-      (*gradient)[j] += shards_[si].slots[0].grad_staging[j];
+      (*gradient)[j] += shards_[si].slots[slot].grad_staging[j];
     }
   }
   ObservePass(busy_before);
+  ReleaseSlot(slot);
   const double inv_s = 1.0 / static_cast<double>(sample_size());
   for (double& g : *gradient) g *= inv_s;
-  last_estimate_ = total * inv_s;
+  SetFeedbackContext(slot, total * inv_s);
   return last_estimate_;
-}
-
-Event KdeEngine::EnqueueGradient() {
-  EnqueueGradientSlot(0);
-  gradient_pending_ = true;
-  // The last shard's read-back is the caller-visible handle (all shards'
-  // events are held in their slots).
-  Event last;
-  for (EngineShard& sh : shards_) {
-    if (sh.slots[0].pending_gradient.valid()) {
-      last = sh.slots[0].pending_gradient;
-    }
-  }
-  return last;
 }
 
 void KdeEngine::EnqueueGradientSlot(std::size_t slot) {
@@ -445,12 +469,6 @@ void KdeEngine::EnqueueGradientSlot(std::size_t slot) {
   }
 }
 
-void KdeEngine::CollectGradient(std::vector<double>* gradient) {
-  FKDE_CHECK_MSG(gradient_pending_, "no enqueued gradient to collect");
-  CollectGradientSlot(0, gradient);
-  gradient_pending_ = false;
-}
-
 void KdeEngine::CollectGradientSlot(std::size_t slot,
                                     std::vector<double>* gradient) {
   const std::size_t d = dims();
@@ -469,37 +487,8 @@ void KdeEngine::CollectGradientSlot(std::size_t slot,
   for (double& g : *gradient) g *= inv_s;
 }
 
-Status KdeEngine::EnableStreaming(std::size_t depth) {
-  if (depth == 0) {
-    return Status::InvalidArgument("streaming depth must be >= 1");
-  }
-  for (EngineShard& sh : shards_) {
-    while (sh.slots.size() < depth) {
-      sh.slots.emplace_back();
-      AllocateSlot(sh, &sh.slots.back());
-    }
-  }
-  while (bounds_staging_.size() < depth) {
-    bounds_staging_.emplace_back(2 * dims());
-  }
-  streaming_depth_ = std::max(streaming_depth_, depth);
-  streaming_ = true;
-  return Status::OK();
-}
-
-void KdeEngine::DisableStreaming() {
-  // Drain before releasing ring buffers: enqueued slot chains hold raw
-  // device pointers into them.
-  for (EngineShard& sh : shards_) sh.device->default_queue()->Finish();
-  for (EngineShard& sh : shards_) sh.slots.resize(1);
-  bounds_staging_.resize(1);
-  streaming_depth_ = 1;
-  feedback_slot_ = 0;
-  streaming_ = false;
-}
-
 void KdeEngine::SetFeedbackContext(std::size_t slot, double estimate) {
-  FKDE_CHECK_MSG(slot < streaming_depth_, "feedback slot beyond ring");
+  FKDE_CHECK_MSG(slot < ring_.size(), "feedback slot beyond ring");
   feedback_slot_ = slot;
   last_estimate_ = estimate;
 }

@@ -11,7 +11,7 @@
 ///  * the estimator gradient ∂p̂_H(Ω)/∂h_i — eq. (15)-(17), either
 ///    synchronously or ENQUEUED on the device's command queue so it runs
 ///    while the database executes the query (Section 5.5, steps 5-6:
-///    `EnqueueGradient`/`CollectGradient`);
+///    `EnqueueGradientSlot`/`CollectGradientSlot` on a slot-ring slot);
 ///  * Scott's rule — eq. (3), via parallel sum / sum-of-squares reductions
 ///    and the variance identity (Section 5.2).
 ///
@@ -26,10 +26,11 @@
 /// in-order `CommandQueue` — so the N devices crunch concurrently — and
 /// the host waits on all shards' read-back events, then folds the partial
 /// sums/gradients (sums over shards are exact; each shard's reduction
-/// keeps the single-device group tree). After every folded pass the
-/// engine feeds the measured per-shard busy time back into the sample's
-/// rebalancer and applies any resulting migration before the *next* pass,
-/// never under enqueued work. On a single-shard sample the generic path
+/// keeps the single-device group tree). After every pass that ran alone
+/// the engine feeds the measured per-shard busy time back into the
+/// sample's rebalancer and applies any resulting migration before the
+/// *next* pass, never while a slot-ring pass (below) is in flight. On a
+/// single-shard sample the generic path
 /// degenerates to exactly the pre-sharding launch/transfer sequence
 /// (pinned by batch_launch_test).
 
@@ -38,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <span>
 #include <vector>
@@ -105,36 +107,18 @@ class KdeEngine {
   /// kernels run concurrently; the per-dimension sums fold on the host.
   std::vector<double> ComputeScottBandwidth();
 
-  /// Estimates the selectivity of `box` (eq. 2). Transfers the query
-  /// bounds in, runs the contribution kernel and reduction on every
-  /// shard, transfers the per-shard scalar sums out and folds them.
+  /// Estimates the selectivity of `box` (eq. 2) on a slot of the ring:
+  /// `BeginEstimateSlot`, `FinishEstimateSlot`, `ReleaseSlot`. Transfers
+  /// the query bounds in, runs the contribution kernel and reduction on
+  /// every shard, transfers the per-shard scalar sums out and folds them.
   /// Per-point contributions stay on each shard's device.
   double Estimate(const Box& box);
 
   /// Estimate plus the gradient ∂p̂/∂h_i (eq. 17), fully synchronous —
   /// the bandwidth-optimization path. `gradient->size()` becomes dims().
-  /// For the adaptive feedback loop use `EnqueueGradient` instead, which
-  /// hides the gradient work behind query execution.
+  /// For the adaptive feedback loop use `EnqueueGradientSlot` instead,
+  /// which hides the gradient work behind query execution.
   double EstimateWithGradient(const Box& box, std::vector<double>* gradient);
-
-  /// Enqueues the Section 5.5 gradient pass (steps 5-6) for the box of
-  /// the LAST `Estimate` call without blocking: per shard, the fused
-  /// partials kernel, ONE segmented reduction over the d dim-major
-  /// partial segments, and a d-double read-back. The devices crunch while
-  /// the database executes the query; `CollectGradient` waits on the
-  /// per-shard events when the feedback arrives. Any previously pending
-  /// gradient is discarded. Does not touch the retained contributions.
-  /// Returns the last shard's read-back event (all shards' events are
-  /// held internally).
-  Event EnqueueGradient();
-
-  /// Waits for the pending `EnqueueGradient` pass, folds the per-shard
-  /// partial gradients and writes ∂p̂/∂h (arity dims()) into `gradient`.
-  /// Requires `gradient_pending()`.
-  void CollectGradient(std::vector<double>* gradient);
-
-  /// True between `EnqueueGradient` and `CollectGradient`.
-  bool gradient_pending() const { return gradient_pending_; }
 
   /// Batched estimation: uploads all `boxes.size()` query bounds in ONE
   /// transfer per shard, runs one fused contribution kernel over the
@@ -174,59 +158,69 @@ class KdeEngine {
                            double lambda, std::vector<double>* gradient);
 
   /// Selectivity of `box` at the last Estimate/EstimateWithGradient call
-  /// (or the estimate installed by `SetFeedbackContext` while streaming).
+  /// (or the estimate installed by `SetFeedbackContext`).
   double last_estimate() const { return last_estimate_; }
 
-  // -- Streaming slot ring (Section 5.5 pipelining, N queries deep) -----
+  // -- Slot ring (Section 5.5 pipelining, N queries deep) ---------------
   //
-  // The classic per-query cycle — Estimate, EnqueueGradient, feedback,
-  // CollectGradient — keeps ONE query's device state resident (slot 0).
-  // Streaming generalizes that state into a ring of `depth` descriptor
-  // slots per shard: `BeginEstimateSlot(box, k % depth)` enqueues query
-  // k's full estimate (+ gradient) chain without waiting, so the chain
-  // for query k+1 enters the in-order queues while query k's gradient
-  // and Karma feedback are still pending on the device. Every command
-  // touches only its slot's buffers, so the per-device in-order queue is
-  // the only ordering needed: slot reuse across the ring wrap (query
-  // k+depth reusing query k's slot) is a WAR hazard resolved by queue
-  // order, which the strict hazard checker verifies. Modeled time never
-  // feeds back into the math, so a streamed schedule produces bitwise
-  // the estimates of its fully-drained replay.
+  // Every per-query pass runs on a ring of descriptor slots per shard.
+  // `BeginEstimateSlot(box)` takes the lowest free slot and enqueues the
+  // query's full estimate chain without waiting; the slot stays in flight
+  // — holding the query's bounds, contributions and pending gradient —
+  // until `ReleaseSlot`. One query at a time (the classic Listing-1
+  // cycle) keeps slot 0 busy; a streamed window of N keeps N slots busy,
+  // so the chain for query k+1 enters the in-order queues while query
+  // k's gradient and Karma feedback are still pending on the device. The
+  // ring grows when every slot is in flight; `TrimRing` shrinks it. Every
+  // command touches only its slot's buffers, so the per-device in-order
+  // queue is the only ordering needed: reusing a released slot whose
+  // commands are still queued is a WAR hazard resolved by queue order,
+  // which the strict hazard checker verifies. Modeled time never feeds
+  // back into the math, so a streamed schedule produces bitwise the
+  // estimates of its fully-drained replay.
 
-  /// Grows every shard's slot ring to `depth` (>= 1) and freezes the
-  /// sample rebalancer: migrations would permute rows under enqueued
-  /// slot chains AND make results depend on drain timing. Idempotent;
-  /// growing an active ring is allowed, shrinking never happens here.
-  Status EnableStreaming(std::size_t depth);
-
-  /// Drains every shard queue, releases slots 1.., unfreezes the
-  /// rebalancer and resets the feedback slot to 0. Requires no
-  /// uncollected slot passes (the caller owns ticket accounting).
-  void DisableStreaming();
-
-  bool streaming() const { return streaming_; }
-  std::size_t streaming_depth() const { return streaming_depth_; }
-
-  /// Enqueues the full estimate chain of `box` on slot `slot` of every
-  /// shard — bounds upload, contribution kernel, reduction, scalar
-  /// read-back — without waiting. `FinishEstimateSlot(slot)` collects.
-  /// No rebalance housekeeping and no EWMA observation: streaming passes
-  /// overlap, so per-pass busy deltas are not attributable.
-  void BeginEstimateSlot(const Box& box, std::size_t slot);
+  /// Admits `box`: takes the lowest free slot, growing every shard's
+  /// ring when all are in flight, and enqueues the full estimate chain on
+  /// it — bounds upload, contribution kernel, reduction, scalar read-back
+  /// — without waiting. Returns the slot; `FinishEstimateSlot` collects.
+  /// An admission onto an empty ring is the only pass in flight, so on
+  /// multi-shard samples it first applies any due rebalance and then
+  /// feeds the chain's busy time (booked at enqueue) to the rebalancer
+  /// EWMA. Admissions behind in-flight slots do neither: a migration
+  /// would permute rows under enqueued chains and make results depend on
+  /// where in a stream it landed.
+  std::size_t BeginEstimateSlot(const Box& box);
 
   /// Waits on slot `slot`'s per-shard read-back events, folds the
-  /// partial sums and returns the estimate (also installed as
-  /// `last_estimate()`). Requires a matching `BeginEstimateSlot`.
+  /// partial sums and returns the estimate (also installed, with the
+  /// slot's contributions, as the feedback context). Requires a matching
+  /// `BeginEstimateSlot`.
   double FinishEstimateSlot(std::size_t slot);
 
-  /// Enqueues the gradient pass for the bounds resident in slot `slot`
-  /// (the adaptive path calls this right after `BeginEstimateSlot`, so
-  /// both chains pipeline). Collect with `CollectGradientSlot`.
+  /// Enqueues the Section 5.5 gradient pass (steps 5-6) for the bounds
+  /// resident in slot `slot` without blocking: per shard, the fused
+  /// partials kernel, ONE segmented reduction over the d dim-major
+  /// partial segments, and a d-double read-back. The devices crunch while
+  /// the database executes the query. A still-pending earlier gradient
+  /// on the slot is superseded. Collect with `CollectGradientSlot`.
   void EnqueueGradientSlot(std::size_t slot);
 
   /// Waits slot `slot`'s pending gradient and folds ∂p̂/∂h into
   /// `gradient` (arity dims()).
   void CollectGradientSlot(std::size_t slot, std::vector<double>* gradient);
+
+  /// Returns slot `slot` to the free list. Its enqueued commands may
+  /// still run: the next chain admitted onto it queues behind them.
+  void ReleaseSlot(std::size_t slot);
+
+  /// Slots currently held between `BeginEstimateSlot` and `ReleaseSlot`.
+  std::size_t slots_in_flight() const;
+
+  /// Shrinks the ring back to one slot so a deep window's slots do not
+  /// stay resident after a streamed burst. Drains every shard queue first
+  /// (released slots may still have commands queued). Requires no slot in
+  /// flight.
+  void TrimRing();
 
   /// Points the feedback consumers at slot `slot`: `shard_contributions`
   /// returns that slot's retained contributions and `last_estimate()`
@@ -247,7 +241,7 @@ class KdeEngine {
 
   /// Per-point contributions retained on shard `shard` (local-row
   /// indexed, sample->shard_size(shard) live entries) — the feedback
-  /// slot's buffer (slot 0 outside streaming).
+  /// slot's buffer.
   const DeviceBuffer<double>& shard_contributions(std::size_t shard) const {
     return shards_[shard].slots[feedback_slot_].contributions;
   }
@@ -274,10 +268,10 @@ class KdeEngine {
  private:
   /// One in-flight query's device state on one shard: the bounds it
   /// queried, its retained contributions/partials and the read-back
-  /// staging its enqueued chain writes into. Slot 0 always exists (the
-  /// classic synchronous paths run on it); `EnableStreaming` grows the
-  /// ring. Buffers are capacity-sized so shard growth under rebalancing
-  /// never reallocates (enqueued commands capture raw device pointers).
+  /// staging its enqueued chain writes into. Buffers are capacity-sized
+  /// so shard growth under rebalancing never reallocates, and slots live
+  /// in a deque so ring growth never moves them (enqueued commands
+  /// capture raw device and staging pointers).
   struct ShardSlot {
     DeviceBuffer<double> bounds_dev;     // 2d doubles: l_0..l_d-1,u_0..
     DeviceBuffer<double> contributions;  // capacity doubles.
@@ -298,16 +292,25 @@ class KdeEngine {
     KernelPrecision precision = KernelPrecision::kDouble;
     DeviceBuffer<double> bandwidth_dev;  // d doubles (replicated).
     DeviceBuffer<float> point_scales;    // capacity floats (variable KDE).
-    std::vector<ShardSlot> slots;        // Ring of in-flight query state.
+    std::deque<ShardSlot> slots;         // Ring of in-flight query state.
   };
 
-  /// Allocates one slot's device buffers and staging on `sh.device`.
-  void AllocateSlot(EngineShard& sh, ShardSlot* slot) const;
+  /// Host-side state of one ring slot, shared by every shard.
+  struct RingSlot {
+    /// Bounds staging for the enqueued uploads. Outlives the upload: the
+    /// slot is only re-staged after its previous query was delivered.
+    std::vector<double> bounds_staging;
+    bool in_flight = false;
+  };
+
+  /// Takes the lowest free ring slot, growing every shard's ring by one
+  /// slot when all are in flight.
+  std::size_t AcquireSlot();
 
   /// Pre-pass housekeeping on multi-shard samples: applies any due
   /// rebalance and re-scatters the point scales if rows migrated. Must
-  /// run before the first enqueue of a pass and never between
-  /// `EnqueueGradient` and `CollectGradient`.
+  /// run before the first enqueue of a pass; a no-op while any ring slot
+  /// is in flight.
   void PrepareForPass();
 
   /// Snapshots per-shard `DeviceBusySeconds` into `out`.
@@ -335,7 +338,7 @@ class KdeEngine {
 
   /// Enqueues the fused gradient-partials kernel on shard `shard` for the
   /// bounds currently resident in slot `slot`'s bounds_dev (shared by
-  /// EstimateWithGradient, EnqueueGradient and EnqueueGradientSlot).
+  /// EstimateWithGradient and EnqueueGradientSlot).
   void EnqueueGradientPartialsKernel(std::size_t shard, std::size_t slot);
 
   /// Queries per scratch tile for an m-query batch over `shard_rows`
@@ -390,16 +393,10 @@ class KdeEngine {
   std::vector<EngineShard> shards_;
   std::vector<double> scales_host_;  // Global-slot point scales.
   std::uint64_t scales_epoch_ = 0;   // Sample migration epoch at upload.
-  /// Per-slot bounds staging for the enqueued uploads. Lives until the
-  /// slot is reused — by then the ring guarantees the previous upload
-  /// completed (its query was delivered before the slot came around).
-  std::vector<std::vector<double>> bounds_staging_;
-  bool gradient_pending_ = false;
+  std::deque<RingSlot> ring_;
   bool has_scales_ = false;
-  bool streaming_ = false;
-  std::size_t streaming_depth_ = 1;
   /// Slot whose contributions/estimate the feedback consumers (Karma)
-  /// currently see; always 0 outside streaming.
+  /// currently see.
   std::size_t feedback_slot_ = 0;
   double last_estimate_ = 0.0;
 

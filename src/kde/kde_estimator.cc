@@ -140,71 +140,41 @@ std::string KdeSelectivityEstimator::name() const {
 
 double KdeSelectivityEstimator::EstimateSelectivity(const Box& box) {
   // All modes answer with the plain estimate pass; only it is on the
-  // optimizer's critical path.
-  const double estimate = engine_->Estimate(box);
-  last_box_ = box;
-  has_last_box_ = true;
-  if (mode_ == Mode::kAdaptive && adaptive_.has_value()) {
-    // Section 5.5, steps 5-6: the gradient pass for this query is
-    // enqueued now and crunches while the database executes the query;
-    // ObserveTrueSelectivity collects it when the feedback arrives. A
-    // query that never gets feedback leaves a pending pass that the next
-    // estimate's EnqueueGradient simply supersedes.
-    engine_->EnqueueGradient();
-  }
-  return std::clamp(estimate, 0.0, 1.0);
+  // optimizer's critical path. The classic order is estimate chain, wait,
+  // then gradient — enqueuing the gradient ahead of the wait (the
+  // streamed order) costs the host wall time while the device idles.
+  RetireUnanswered();
+  const StreamTicket& ticket = Admit(box);
+  const double estimate = DeliverFront();
+  // Section 5.5, steps 5-6: the gradient pass for this query is enqueued
+  // now and crunches while the database executes the query;
+  // ObserveTrueSelectivity collects it when the feedback arrives. A query
+  // that never gets feedback is retired by the next estimate, whose
+  // gradient supersedes the pending pass on the reused slot.
+  EnqueueTicketGradient(ticket);
+  return estimate;
 }
 
 void KdeSelectivityEstimator::ObserveTrueSelectivity(const Box& box,
                                                      double selectivity) {
-  if (mode_ == Mode::kPeriodic) {
-    ObservePeriodicFeedback(box, selectivity);
-    return;
-  }
-  if (mode_ != Mode::kAdaptive) return;
-
-  // Out-of-order feedback (a box we did not just estimate, or a second
-  // feedback for the same box): recompute the estimate and re-enqueue the
-  // gradient so both the pending pass and the retained contributions
-  // Karma reuses below match `box`. This exceptional path pays the full
-  // gradient cost inline.
-  if (!has_last_box_ || !(box == last_box_) || !engine_->gradient_pending()) {
-    engine_->Estimate(box);
-    last_box_ = box;
-    has_last_box_ = true;
-    engine_->EnqueueGradient();
-  }
-
-  // Listing 1: collect the gradient pass enqueued at estimate time — by
-  // now it has been hidden behind the query's execution — chain it with
-  // ∂L/∂p̂ (eq. 14) and feed the per-query loss gradient to RMSprop.
-  std::vector<double> est_grad;
-  engine_->CollectGradient(&est_grad);
-  const double dl_dp = LossDerivative(config_.loss, engine_->last_estimate(),
-                                      selectivity, config_.lambda);
-  for (double& g : est_grad) g *= dl_dp;
-  std::vector<double> bandwidth = engine_->bandwidth();
-  if (adaptive_->Observe(est_grad, &bandwidth)) {
-    FKDE_CHECK_OK(engine_->SetBandwidth(bandwidth));
-  }
-
-  // Karma maintenance (Section 5.6): first collect the pass enqueued at
-  // the PREVIOUS feedback — it ran while this query executed — and
-  // replace the sample points it flagged (one d-float row upload each).
-  // A quiesce (snapshot/eviction) may already have collected the pass
-  // into pending_karma_slots_; either way the replacements apply here.
-  if (karma_.has_value() && table_ != nullptr && !table_->empty()) {
-    if (karma_->update_pending()) {
-      const std::vector<std::size_t> slots = karma_->CollectPending();
-      pending_karma_slots_.insert(pending_karma_slots_.end(), slots.begin(),
-                                  slots.end());
+  // Feedback answers the open ticket when it holds `box`'s delivered
+  // estimate. Any other feedback — for a box that was not just
+  // estimated, a second one for the same box, or with no ticket open —
+  // runs on a fresh ticket, so the gradient and retained contributions
+  // Karma reuses belong to `box`. That exceptional path pays the full
+  // estimate and gradient cost inline. Only the adaptive variant reads
+  // that device state; the others skip the fresh pass.
+  const bool answers_open = !tickets_.empty() && tickets_.front().delivered &&
+                            tickets_.front().box == box;
+  if (!answers_open) {
+    if (mode_ != Mode::kAdaptive) {
+      RetireUnanswered();
+      if (mode_ == Mode::kPeriodic) ObservePeriodicFeedback(box, selectivity);
+      return;
     }
-    ApplyPendingKarma();
-    // Then enqueue the scoring pass for THIS query's feedback; it reuses
-    // the retained contributions and runs while the database processes
-    // the next statement.
-    karma_->EnqueueUpdate(box, selectivity);
+    (void)EstimateSelectivity(box);
   }
+  ApplyFeedback(RetireFront(), selectivity);
 }
 
 void KdeSelectivityEstimator::ObservePeriodicFeedback(const Box& box,
@@ -235,86 +205,96 @@ void KdeSelectivityEstimator::ObservePeriodicFeedback(const Box& box,
   }
 }
 
-Status KdeSelectivityEstimator::EnableStreaming(std::size_t depth) {
-  if (depth == 0) {
-    return Status::InvalidArgument("streaming depth must be >= 1");
-  }
-  FKDE_CHECK_MSG(tickets_.empty(), "cannot resize an active stream");
-  // Fold classic-path pending state (an enqueued gradient, a pending
-  // Karma pass) into host state so slot 0 starts the stream clean.
-  Quiesce();
-  FKDE_RETURN_NOT_OK(engine_->EnableStreaming(depth));
-  stream_depth_ = depth;
-  // Ticket ids are session-local: they restart at 0 for every streaming
-  // session. Carrying the counter across sessions made it hidden
-  // persistent state — a restored model would hand out different ids
-  // than the original, breaking streamed replay equivalence.
-  next_ticket_ = 0;
-  return Status::OK();
+KdeSelectivityEstimator::StreamTicket& KdeSelectivityEstimator::Admit(
+    const Box& box) {
+  // Ids restart whenever the FIFO empties. A counter carried across that
+  // point would be hidden persistent state: a restored model (whose
+  // counter starts fresh) would hand out different ids than the original
+  // for the same admission schedule.
+  if (tickets_.empty()) next_ticket_ = 0;
+  StreamTicket& ticket = tickets_.emplace_back();
+  ticket.id = next_ticket_++;
+  ticket.box = box;
+  ticket.slot = engine_->BeginEstimateSlot(box);
+  return ticket;
 }
 
-void KdeSelectivityEstimator::DisableStreaming() {
-  FKDE_CHECK_MSG(tickets_.empty(),
-                 "disable requires all streamed tickets retired");
-  if (stream_depth_ == 0) return;
-  engine_->DisableStreaming();
-  stream_depth_ = 0;
+void KdeSelectivityEstimator::EnqueueTicketGradient(
+    const StreamTicket& ticket) {
+  if (mode_ == Mode::kAdaptive && adaptive_.has_value()) {
+    engine_->EnqueueGradientSlot(ticket.slot);
+  }
+}
+
+double KdeSelectivityEstimator::DeliverFront() {
+  StreamTicket& front = tickets_.front();
+  front.raw_estimate = engine_->FinishEstimateSlot(front.slot);
+  front.delivered = true;
+  return std::clamp(front.raw_estimate, 0.0, 1.0);
+}
+
+KdeSelectivityEstimator::StreamTicket KdeSelectivityEstimator::RetireFront() {
+  StreamTicket front = std::move(tickets_.front());
+  tickets_.pop_front();
+  engine_->ReleaseSlot(front.slot);
+  return front;
+}
+
+void KdeSelectivityEstimator::RetireUnanswered() {
+  if (tickets_.empty()) return;
+  FKDE_CHECK_MSG(tickets_.size() == 1 && tickets_.front().delivered,
+                 "classic serving with streamed tickets in flight");
+  RetireFront();
 }
 
 std::uint64_t KdeSelectivityEstimator::StreamBegin(const Box& box) {
-  FKDE_CHECK_MSG(stream_depth_ > 0, "streaming not enabled");
-  FKDE_CHECK_MSG(tickets_.size() < stream_depth_,
-                 "admission window full: deliver feedback first");
-  StreamTicket ticket;
-  ticket.id = next_ticket_++;
-  ticket.slot = static_cast<std::size_t>(ticket.id % stream_depth_);
-  ticket.box = box;
-  engine_->BeginEstimateSlot(box, ticket.slot);
-  if (mode_ == Mode::kAdaptive && adaptive_.has_value()) {
-    // Pipeline the gradient right behind the estimate chain: it crunches
-    // while later queries stream in and is collected at feedback time.
-    engine_->EnqueueGradientSlot(ticket.slot);
-  }
-  tickets_.push_back(std::move(ticket));
-  return tickets_.back().id;
+  const StreamTicket& ticket = Admit(box);
+  // Pipeline the gradient right behind the estimate chain: it crunches
+  // while later queries stream in and is collected at feedback time.
+  // Enqueuing it at delivery instead would let older tickets' feedback
+  // move the bandwidth in between, so it would no longer match the
+  // ticket's estimate.
+  EnqueueTicketGradient(ticket);
+  return ticket.id;
 }
 
 double KdeSelectivityEstimator::StreamDeliver(std::uint64_t ticket) {
   FKDE_CHECK_MSG(!tickets_.empty(), "no in-flight tickets");
-  StreamTicket& front = tickets_.front();
-  FKDE_CHECK_MSG(front.id == ticket, "tickets deliver FIFO");
-  FKDE_CHECK_MSG(!front.delivered, "ticket already delivered");
-  front.raw_estimate = engine_->FinishEstimateSlot(front.slot);
-  front.delivered = true;
-  return std::clamp(front.raw_estimate, 0.0, 1.0);
+  FKDE_CHECK_MSG(tickets_.front().id == ticket, "tickets deliver FIFO");
+  FKDE_CHECK_MSG(!tickets_.front().delivered, "ticket already delivered");
+  return DeliverFront();
 }
 
 void KdeSelectivityEstimator::StreamRetire(std::uint64_t ticket) {
   FKDE_CHECK_MSG(!tickets_.empty(), "no in-flight tickets");
   FKDE_CHECK_MSG(tickets_.front().id == ticket, "tickets retire FIFO");
   FKDE_CHECK_MSG(tickets_.front().delivered, "retire before delivery");
-  tickets_.pop_front();
+  RetireFront();
 }
 
 void KdeSelectivityEstimator::StreamFeedback(std::uint64_t ticket,
                                              double selectivity) {
   FKDE_CHECK_MSG(!tickets_.empty(), "no in-flight tickets");
-  const StreamTicket front = tickets_.front();
-  FKDE_CHECK_MSG(front.id == ticket, "tickets retire FIFO");
-  FKDE_CHECK_MSG(front.delivered, "feedback before delivery");
-  tickets_.pop_front();
+  FKDE_CHECK_MSG(tickets_.front().id == ticket, "tickets retire FIFO");
+  FKDE_CHECK_MSG(tickets_.front().delivered, "feedback before delivery");
+  ApplyFeedback(RetireFront(), selectivity);
+}
+
+void KdeSelectivityEstimator::ApplyFeedback(const StreamTicket& ticket,
+                                            double selectivity) {
   if (mode_ == Mode::kPeriodic) {
-    ObservePeriodicFeedback(front.box, selectivity);
+    ObservePeriodicFeedback(ticket.box, selectivity);
     return;
   }
   if (mode_ != Mode::kAdaptive) return;
 
-  // The same Listing-1 feedback cycle as ObserveTrueSelectivity, keyed to
-  // the ticket's slot: collect ITS pipelined gradient, chain ∂L/∂p̂ from
-  // ITS raw estimate, step RMSprop.
+  // Listing 1: collect the ticket's gradient pass enqueued at admission —
+  // by now it has been hidden behind the query's execution — chain it
+  // with ∂L/∂p̂ (eq. 14) from the ticket's raw estimate and feed the
+  // per-query loss gradient to RMSprop.
   std::vector<double> est_grad;
-  engine_->CollectGradientSlot(front.slot, &est_grad);
-  const double dl_dp = LossDerivative(config_.loss, front.raw_estimate,
+  engine_->CollectGradientSlot(ticket.slot, &est_grad);
+  const double dl_dp = LossDerivative(config_.loss, ticket.raw_estimate,
                                       selectivity, config_.lambda);
   for (double& g : est_grad) g *= dl_dp;
   std::vector<double> bandwidth = engine_->bandwidth();
@@ -322,11 +302,15 @@ void KdeSelectivityEstimator::StreamFeedback(std::uint64_t ticket,
     FKDE_CHECK_OK(engine_->SetBandwidth(bandwidth));
   }
 
-  // Karma (Section 5.6), one query late exactly as the classic path:
-  // collect the pass enqueued at the previous ticket's feedback, apply
-  // its replacements, then point the feedback context at THIS ticket's
-  // slot so the new scoring pass reads the contributions and estimate of
-  // the query the feedback belongs to.
+  // Karma maintenance (Section 5.6): first collect the pass enqueued at
+  // the PREVIOUS feedback — it ran while this query executed — and
+  // replace the sample points it flagged (one d-float row upload each).
+  // A quiesce (snapshot/eviction) may already have collected the pass
+  // into pending_karma_slots_; either way the replacements apply here.
+  // Then point the feedback context at THIS ticket's slot and enqueue the
+  // scoring pass for its feedback: it reuses the slot's retained
+  // contributions and runs while the database processes the next
+  // statement.
   if (karma_.has_value() && table_ != nullptr && !table_->empty()) {
     if (karma_->update_pending()) {
       const std::vector<std::size_t> slots = karma_->CollectPending();
@@ -334,8 +318,8 @@ void KdeSelectivityEstimator::StreamFeedback(std::uint64_t ticket,
                                   slots.end());
     }
     ApplyPendingKarma();
-    engine_->SetFeedbackContext(front.slot, front.raw_estimate);
-    karma_->EnqueueUpdate(front.box, selectivity);
+    engine_->SetFeedbackContext(ticket.slot, ticket.raw_estimate);
+    karma_->EnqueueUpdate(ticket.box, selectivity);
   }
 }
 
@@ -350,24 +334,25 @@ void KdeSelectivityEstimator::ApplyPendingKarma() {
 }
 
 void KdeSelectivityEstimator::Quiesce() {
-  // Streamed tickets cannot be folded into host state: their slots hold
-  // estimates the client has not seen yet. The serving layer retires the
-  // stream before snapshotting or evicting a model.
-  FKDE_CHECK_MSG(tickets_.empty(), "quiesce with streamed tickets in flight");
-  if (engine_->gradient_pending()) {
-    // The pass belongs to last_box_; dropping it is safe because clearing
-    // has_last_box_ below routes the next feedback through the recompute
-    // path, which reproduces the same gradient bitwise (the pass is a
-    // deterministic function of sample, bandwidth and box).
+  // Undelivered tickets cannot be folded into host state: their slots
+  // hold estimates the client has not seen yet. The serving layer retires
+  // the stream before snapshotting or evicting a model. A delivered
+  // ticket awaiting feedback is retired with its gradient dropped: the
+  // next feedback for its box runs on a fresh ticket, which reproduces
+  // the same gradient bitwise (the pass is a deterministic function of
+  // sample, bandwidth and box).
+  while (!tickets_.empty()) {
+    FKDE_CHECK_MSG(tickets_.front().delivered,
+                   "quiesce with undelivered tickets in flight");
     std::vector<double> discarded;
-    engine_->CollectGradient(&discarded);
+    engine_->CollectGradientSlot(tickets_.front().slot, &discarded);
+    RetireFront();
   }
   if (karma_.has_value() && karma_->update_pending()) {
     const std::vector<std::size_t> slots = karma_->CollectPending();
     pending_karma_slots_.insert(pending_karma_slots_.end(), slots.begin(),
                                 slots.end());
   }
-  has_last_box_ = false;
 }
 
 void KdeSelectivityEstimator::OnInsert(std::span<const double> row,

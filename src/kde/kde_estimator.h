@@ -21,6 +21,11 @@
 ///    and is collected when its feedback arrives; the Karma pass runs
 ///    while the database processes the next statement and its
 ///    replacements are collected at the next feedback (Sections 5.5-5.6).
+///
+/// Every query, classic or streamed, is one ticket on the engine's slot
+/// ring: admitted, delivered, then fed back or retired. The classic
+/// `EstimateSelectivity`/`ObserveTrueSelectivity` pair is the one-ticket
+/// case of the streamed `Stream*` API, and both share one feedback body.
 
 #ifndef FKDE_KDE_KDE_ESTIMATOR_H_
 #define FKDE_KDE_KDE_ESTIMATOR_H_
@@ -105,34 +110,23 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   // -- Streamed serving (N queries in flight) --------------------------
   //
   // The classic EstimateSelectivity / ObserveTrueSelectivity pair keeps
-  // at most one query's device state alive. The ticketed triple below
-  // generalizes it: `StreamBegin` enqueues query k's estimate (and, for
-  // the adaptive variant, its gradient) chain on slot k % depth without
-  // waiting, `StreamDeliver` collects the estimate when the optimizer
-  // needs it, and `StreamFeedback` applies the query's true selectivity
-  // — RMSprop step, Karma collection/replacements, next Karma pass —
-  // against the ticket's own slot, so feedback for query k lands
-  // correctly while queries k+1..k+depth-1 are already in flight.
-  // Tickets deliver and retire strictly FIFO (checked). With depth 1 the
-  // enqueued command sequence is identical to the classic pair's.
+  // one query's ticket open. The ticketed triple below generalizes it:
+  // `StreamBegin` enqueues query k's estimate (and, for the adaptive
+  // variant, its gradient) chain on a free ring slot without waiting,
+  // `StreamDeliver` collects the estimate when the optimizer needs it,
+  // and `StreamFeedback` applies the query's true selectivity — RMSprop
+  // step, Karma collection/replacements, next Karma pass — against the
+  // ticket's own slot, so feedback for query k lands correctly while
+  // queries k+1.. are already in flight. Tickets deliver and retire
+  // strictly FIFO (checked); the caller bounds how many are in flight,
+  // and the engine's ring grows to match. Ticket ids restart at 0
+  // whenever no ticket is open.
 
-  /// Switches the model into streamed serving with `depth` in-flight
-  /// tickets. Quiesces classic-path pending state first (so slot 0 is
-  /// free) and freezes the sample rebalancer for the duration. Requires
-  /// no in-flight tickets.
-  Status EnableStreaming(std::size_t depth);
-
-  /// Drains the device queues and returns to classic serving. Requires
-  /// all tickets retired.
-  void DisableStreaming();
-
-  std::size_t streaming_depth() const { return stream_depth_; }
-  /// Tickets begun but not yet retired by StreamFeedback.
+  /// Tickets begun but not yet retired.
   std::size_t stream_in_flight() const { return tickets_.size(); }
 
   /// Admits `box` into the stream: enqueues its estimate (+ gradient)
-  /// chain and returns the ticket. Requires a free slot
-  /// (stream_in_flight() < streaming_depth()).
+  /// chain and returns the ticket.
   std::uint64_t StreamBegin(const Box& box);
 
   /// Waits for `ticket`'s estimate read-backs and returns the clamped
@@ -149,12 +143,14 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   void StreamRetire(std::uint64_t ticket);
 
   /// Folds every in-flight device pass into host state so the model can
-  /// be serialized or torn down without losing behavior: a pending
-  /// gradient is collected and discarded (the next out-of-order feedback
-  /// recomputes it, bitwise-identically), and a pending Karma pass is
+  /// be serialized or torn down without losing behavior: a delivered
+  /// ticket still awaiting feedback is retired and its gradient collected
+  /// and discarded (the next feedback for its box runs on a fresh ticket
+  /// and recomputes it, bitwise-identically), and a pending Karma pass is
   /// collected into `pending_karma_slots_`, to be applied at the next
-  /// feedback exactly as the non-quiesced path would. Estimates before
-  /// and after a quiesce are unchanged; snapshot/eviction call this.
+  /// feedback exactly as the non-quiesced path would. Aborts on an
+  /// undelivered ticket. Estimates before and after a quiesce are
+  /// unchanged; snapshot/eviction call this.
   void Quiesce();
 
   /// Current bandwidth (host copy) — diagnostics and tests.
@@ -191,18 +187,42 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   void ApplyPendingKarma();
 
   /// Periodic-mode feedback: ring-buffer append plus the due
-  /// re-optimization (shared by the classic and streamed paths).
+  /// re-optimization.
   void ObservePeriodicFeedback(const Box& box, double selectivity);
 
-  /// One streamed query's host-side state, alive from StreamBegin until
-  /// its StreamFeedback retires it.
+  /// One query's host-side state, alive from its admission until it is
+  /// fed back or retired.
   struct StreamTicket {
     std::uint64_t id = 0;
-    std::size_t slot = 0;      ///< Engine ring slot (id % depth).
+    std::size_t slot = 0;      ///< Engine ring slot, held until retired.
     Box box;                   ///< For the Karma pass at feedback time.
     double raw_estimate = 0.0; ///< Unclamped, for the loss derivative.
     bool delivered = false;
   };
+
+  /// Queues a ticket for `box` and enqueues its estimate chain on the
+  /// lowest free ring slot. Shared by StreamBegin and the classic pair,
+  /// which differ only in when the gradient is enqueued.
+  StreamTicket& Admit(const Box& box);
+
+  /// Enqueues the adaptive variant's gradient pass on `ticket`'s slot;
+  /// a no-op for the other variants.
+  void EnqueueTicketGradient(const StreamTicket& ticket);
+
+  /// Waits for the front ticket's estimate; returns it clamped.
+  double DeliverFront();
+
+  /// Pops the front ticket and frees its ring slot.
+  StreamTicket RetireFront();
+
+  /// The classic pair keeps at most one ticket open: the last estimate,
+  /// delivered and awaiting feedback that may never come. Retires it.
+  void RetireUnanswered();
+
+  /// The Listing-1 feedback body for a retired ticket: periodic ring
+  /// append, or RMSprop step on the ticket's gradient plus the Karma
+  /// collect/apply and the next Karma pass over the ticket's slot.
+  void ApplyFeedback(const StreamTicket& ticket, double selectivity);
 
   FKDE_SNAPSHOT_EXCLUDE("serialized in the snapshot header; restore feeds it through the constructor")
   Mode mode_;
@@ -218,13 +238,6 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   std::optional<ReservoirMaintainer> reservoir_;
   BatchReport batch_report_;
 
-  // Feedback pairing: the enqueued gradient pass and Karma's retained
-  // contributions are only valid for the last estimated box; out-of-order
-  // feedback triggers a recompute.
-  FKDE_SNAPSHOT_EXCLUDE("cleared by the Quiesce() that precedes every snapshot; the next feedback recomputes")
-  Box last_box_;
-  FKDE_SNAPSHOT_EXCLUDE("cleared by the Quiesce() that precedes every snapshot; the next feedback recomputes")
-  bool has_last_box_ = false;
   std::size_t karma_replacements_ = 0;
   /// Replacement slots collected from the device but not yet applied:
   /// Karma lands its replacements one query late (Section 5.6), so a
@@ -232,13 +245,11 @@ class KdeSelectivityEstimator : public SelectivityEstimator {
   /// snapshots, which is what keeps evict/restore bitwise-faithful.
   std::vector<std::size_t> pending_karma_slots_;
 
-  // Streamed serving: FIFO of in-flight tickets; depth 0 = classic mode.
-  FKDE_SNAPSHOT_EXCLUDE("streaming session state; Quiesce() asserts no tickets are open at snapshot time")
+  // FIFO of in-flight tickets, classic or streamed.
+  FKDE_SNAPSHOT_EXCLUDE("per-query state; the Quiesce() that precedes every snapshot retires every ticket")
   std::deque<StreamTicket> tickets_;
-  FKDE_SNAPSHOT_EXCLUDE("session-local ticket counter; EnableStreaming resets it to 0 per session")
+  FKDE_SNAPSHOT_EXCLUDE("restarts at 0 whenever the FIFO empties, and Quiesce() empties it before every snapshot")
   std::uint64_t next_ticket_ = 0;
-  FKDE_SNAPSHOT_EXCLUDE("streaming session state; a restored model starts in classic mode until re-enabled")
-  std::size_t stream_depth_ = 0;
 
   // Periodic mode: ring buffer of recent feedback (Section 3.4 step 1).
   std::vector<Query> feedback_ring_;

@@ -48,14 +48,6 @@ RunStats FeedbackDriver::RunPrecomputed(SelectivityEstimator* estimator,
   return stats;
 }
 
-RunStats FeedbackDriver::RunPrecomputed(SelectivityEstimator* estimator,
-                                        std::span<const Query> workload,
-                                        bool feedback) {
-  RunOptions options;
-  options.feedback = feedback;
-  return RunPrecomputed(estimator, workload, options);
-}
-
 RunStats FeedbackDriver::RunLive(SelectivityEstimator* estimator,
                                  Executor* executor,
                                  std::span<const Box> queries,
@@ -76,15 +68,6 @@ RunStats FeedbackDriver::RunLive(SelectivityEstimator* estimator,
     stats.truths.push_back(truth);
   }
   return stats;
-}
-
-RunStats FeedbackDriver::RunLive(SelectivityEstimator* estimator,
-                                 Executor* executor,
-                                 std::span<const Box> queries,
-                                 bool feedback) {
-  RunOptions options;
-  options.feedback = feedback;
-  return RunLive(estimator, executor, queries, options);
 }
 
 void FeedbackDriver::Train(SelectivityEstimator* estimator,

@@ -71,20 +71,12 @@ class FeedbackDriver {
   static RunStats RunPrecomputed(SelectivityEstimator* estimator,
                                  std::span<const Query> workload,
                                  const RunOptions& options = {});
-  /// Back-compat shorthand for `{.feedback = feedback}`.
-  static RunStats RunPrecomputed(SelectivityEstimator* estimator,
-                                 std::span<const Query> workload,
-                                 bool feedback);
 
   /// Runs a workload computing the truth against the live table via
   /// `executor` (used when the table mutates between queries).
   static RunStats RunLive(SelectivityEstimator* estimator,
                           Executor* executor, std::span<const Box> queries,
                           const RunOptions& options = {});
-  /// Back-compat shorthand for `{.feedback = feedback}`.
-  static RunStats RunLive(SelectivityEstimator* estimator,
-                          Executor* executor, std::span<const Box> queries,
-                          bool feedback);
 
   /// Feeds a training workload (estimate + feedback) without recording —
   /// the warm-up used to let self-tuning estimators (Adaptive, STHoles)

@@ -59,8 +59,9 @@ Result<StreamingReport> StreamingExecutor::Run(
   const double stall0 = group_->TotalHostStallSeconds();
   advanced_ = 0.0;
   start_s_ = modeled0;
-
-  FKDE_RETURN_NOT_OK(model->EnableStreaming(options_.window));
+  // A classic estimate still awaiting feedback would sit at the head of
+  // the ticket FIFO; retire it (and fold pending device passes) first.
+  model->Quiesce();
 
   StreamingReport report;
   report.estimates.resize(n);
@@ -70,7 +71,9 @@ Result<StreamingReport> StreamingExecutor::Run(
   // The deterministic admit/retire schedule: fill the window, then
   // alternate retire-oldest / admit-next until the tail drains. A pure
   // function of (arrival order, window) — never of modeled time — so the
-  // pipelined and replay modes execute the same logical op sequence.
+  // pipelined and replay modes execute the same logical op sequence. The
+  // window bounds the tickets in flight, and with them the model's slot
+  // ring.
   std::size_t admitted = 0;
   std::size_t retired = 0;
   while (retired < n) {
@@ -100,9 +103,10 @@ Result<StreamingReport> StreamingExecutor::Run(
     if (!options_.pipeline) Drain();
   }
 
-  // Retire the ring before the report: DisableStreaming drains every
-  // queue, so the span includes the tail's device work.
-  model->DisableStreaming();
+  // Drain before the report, so the span includes the tail's device
+  // work, and release the window's extra ring slots.
+  Drain();
+  model->engine()->TrimRing();
   report.completed = n;
   report.span_s = Now();
   report.throughput_qps =

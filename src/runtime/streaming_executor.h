@@ -107,10 +107,12 @@ class StreamingExecutor {
   /// counters. Must outlive the executor.
   StreamingExecutor(DeviceGroup* group, StreamingOptions options);
 
-  /// Streams `queries` through `model`: enables streaming at the window
-  /// depth, runs the deterministic admit/retire schedule, disables
-  /// streaming (draining the queues) and reports. The model is returned
-  /// to classic serving regardless of outcome.
+  /// Streams `queries` through `model`: quiesces it (retiring a classic
+  /// estimate still awaiting feedback), runs the deterministic
+  /// admit/retire schedule with at most `options.window` tickets in
+  /// flight, drains the queues, trims the model's slot ring and reports.
+  /// Every ticket is retired on return, so the model is ready for
+  /// classic serving.
   Result<StreamingReport> Run(KdeSelectivityEstimator* model,
                               std::span<const StreamedQuery> queries);
 
@@ -138,7 +140,8 @@ class StreamingExecutor {
   /// Advances the modeled clock to `target` (external wall time on every
   /// device); no-op when the clock is already past it.
   void AdvanceTo(double target);
-  /// Waits out every device queue (replay-mode serialization point).
+  /// Waits out every device queue (replay-mode serialization point and
+  /// the end of a run).
   void Drain();
 
   DeviceGroup* group_;

@@ -1,11 +1,15 @@
 #include "kde/kde_estimator.h"
 
+#include <cstring>
+#include <functional>
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "parallel/device_group.h"
 #include "runtime/driver.h"
+#include "runtime/topology.h"
 
 namespace fkde {
 namespace {
@@ -139,6 +143,119 @@ TEST(KdeEstimator, OutOfOrderFeedbackIsHandled) {
     adaptive->ObserveTrueSelectivity(q.box, q.selectivity);
   }
   for (double h : adaptive->bandwidth()) EXPECT_GT(h, 0.0);
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+using ServeFn =
+    std::function<void(KdeSelectivityEstimator*, const Query&, const Query&)>;
+
+// Twin Adaptive models on one gpu device: `served` drives one with an
+// out-of-order feedback pattern, `explicit_seq` drives the other with the
+// estimate-then-feedback sequence that pattern must equal. Both models
+// must then agree bitwise on the bandwidth and on later estimates.
+void ExpectClassicContract(const ServeFn& served, const ServeFn& explicit_seq) {
+  EstimatorFixture f(20);
+  Device gpu(DeviceProfile::SimulatedGtx460());
+  KdeConfig config;
+  config.sample_size = 512;
+  auto a = KdeSelectivityEstimator::Create(Mode::kAdaptive, &gpu,
+                                           f.table.get(), config)
+               .MoveValueOrDie();
+  auto b = KdeSelectivityEstimator::Create(Mode::kAdaptive, &gpu,
+                                           f.table.get(), config)
+               .MoveValueOrDie();
+  const std::vector<double> scott = a->bandwidth();
+  // 25 feedbacks span several RMSprop mini-batches.
+  for (std::size_t i = 0; i < 25; ++i) {
+    served(a.get(), f.test[i], f.training[i]);
+    explicit_seq(b.get(), f.test[i], f.training[i]);
+  }
+  EXPECT_FALSE(SameBits(a->bandwidth(), scott));
+  EXPECT_TRUE(SameBits(a->bandwidth(), b->bandwidth()));
+  for (std::size_t i = 25; i < 35; ++i) {
+    const double ea = a->EstimateSelectivity(f.test[i].box);
+    const double eb = b->EstimateSelectivity(f.test[i].box);
+    EXPECT_EQ(std::memcmp(&ea, &eb, sizeof(double)), 0) << "query " << i;
+  }
+}
+
+TEST(KdeEstimator, FeedbackWithoutEstimateEqualsEstimateThenFeedback) {
+  ExpectClassicContract(
+      [](KdeSelectivityEstimator* m, const Query&, const Query& q) {
+        m->ObserveTrueSelectivity(q.box, q.selectivity);
+      },
+      [](KdeSelectivityEstimator* m, const Query&, const Query& q) {
+        (void)m->EstimateSelectivity(q.box);
+        m->ObserveTrueSelectivity(q.box, q.selectivity);
+      });
+}
+
+TEST(KdeEstimator, UnansweredEstimateIsRetiredByTheNext) {
+  ExpectClassicContract(
+      [](KdeSelectivityEstimator* m, const Query& other, const Query& q) {
+        (void)m->EstimateSelectivity(other.box);
+        (void)m->EstimateSelectivity(q.box);
+        m->ObserveTrueSelectivity(q.box, q.selectivity);
+      },
+      [](KdeSelectivityEstimator* m, const Query&, const Query& q) {
+        (void)m->EstimateSelectivity(q.box);
+        m->ObserveTrueSelectivity(q.box, q.selectivity);
+      });
+}
+
+TEST(KdeEstimator, SecondFeedbackEqualsReEstimatePlusFeedback) {
+  ExpectClassicContract(
+      [](KdeSelectivityEstimator* m, const Query&, const Query& q) {
+        (void)m->EstimateSelectivity(q.box);
+        m->ObserveTrueSelectivity(q.box, q.selectivity);
+        m->ObserveTrueSelectivity(q.box, q.selectivity);
+      },
+      [](KdeSelectivityEstimator* m, const Query&, const Query& q) {
+        (void)m->EstimateSelectivity(q.box);
+        m->ObserveTrueSelectivity(q.box, q.selectivity);
+        (void)m->EstimateSelectivity(q.box);
+        m->ObserveTrueSelectivity(q.box, q.selectivity);
+      });
+}
+
+// The classic estimate/feedback loop still feeds the sample rebalancer:
+// every estimate is admitted onto an empty slot ring, so it may rebalance
+// first and its busy time reaches the throughput EWMA. Two identical
+// devices with a deliberately wrong 95/5 initial split must converge
+// toward 50/50. The sample is large so per-row compute dominates the
+// fixed per-pass latencies.
+TEST(KdeEstimator, ClassicLoopFeedsTheRebalancer) {
+  DeviceGroupOptions options;
+  options.initial_weights = {0.95, 0.05};
+  options.rebalance_interval = 2;
+  options.ewma_alpha = 0.5;
+  auto group = std::make_unique<DeviceGroup>(
+      ParseDeviceTopology("gpu+gpu").ValueOrDie(), std::move(options));
+  const Table table =
+      GenerateDataset("synthetic", 262144, 8, 5).MoveValueOrDie();
+  WorkloadGenerator generator(table);
+  Rng rng(31);
+  const std::vector<Query> workload = generator.Generate(
+      ParseWorkloadName("dt").ValueOrDie(), 16, &rng);
+  KdeConfig config;
+  config.sample_size = 262144;
+  auto model = KdeSelectivityEstimator::Create(Mode::kAdaptive, group.get(),
+                                               &table, config)
+                   .MoveValueOrDie();
+  DeviceSample* sample = model->engine()->sample();
+  const std::vector<std::size_t> before = sample->shard_sizes();
+  EXPECT_GT(before[0], 3u * before[1]);  // Skew actually applied.
+
+  FeedbackDriver::RunPrecomputed(model.get(), workload);
+  const std::vector<std::size_t> after = sample->shard_sizes();
+  const double total = static_cast<double>(after[0] + after[1]);
+  EXPECT_NEAR(static_cast<double>(after[0]) / total, 0.5, 0.10)
+      << after[0] << "/" << after[1];
+  EXPECT_GT(sample->rows_migrated(), 0u);
 }
 
 TEST(KdeEstimator, KarmaReplacesStalePointsAfterBulkDelete) {

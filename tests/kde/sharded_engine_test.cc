@@ -187,13 +187,17 @@ TEST(ShardedEngine, GradientPathsMatchSingleDevice) {
     }
 
     // The asynchronous enqueue/collect pair folds to the same gradient.
-    (void)twin.single->Estimate(box);
-    (void)twin.sharded->Estimate(box);
-    twin.single->EnqueueGradient();
-    twin.sharded->EnqueueGradient();
+    const std::size_t s_single = twin.single->BeginEstimateSlot(box);
+    const std::size_t s_sharded = twin.sharded->BeginEstimateSlot(box);
+    (void)twin.single->FinishEstimateSlot(s_single);
+    (void)twin.sharded->FinishEstimateSlot(s_sharded);
+    twin.single->EnqueueGradientSlot(s_single);
+    twin.sharded->EnqueueGradientSlot(s_sharded);
     std::vector<double> a_single, a_sharded;
-    twin.single->CollectGradient(&a_single);
-    twin.sharded->CollectGradient(&a_sharded);
+    twin.single->CollectGradientSlot(s_single, &a_single);
+    twin.sharded->CollectGradientSlot(s_sharded, &a_sharded);
+    twin.single->ReleaseSlot(s_single);
+    twin.sharded->ReleaseSlot(s_sharded);
     for (std::size_t j = 0; j < a_single.size(); ++j) {
       EXPECT_NEAR(a_sharded[j], a_single[j],
                   1e-12 * std::max(1.0, std::fabs(a_single[j])));

@@ -1,8 +1,8 @@
 // fkde-lint fixture: streaming-lifecycle clean patterns. Mirrors the
 // production serving loop of src/runtime/streaming_executor.cc: every
 // StreamBegin is retired by StreamFeedback (or StreamRetire on the
-// frozen path), EnableStreaming is paired with DisableStreaming, and
-// the quiesce happens only after the last ticket has retired.
+// frozen path), and the quiesce happens only after the last ticket has
+// retired.
 #include "kde/kde_estimator.h"
 #include "runtime/streaming_executor.h"
 
@@ -26,16 +26,13 @@ double ServeFrozen(KdeSelectivityEstimator* model, const Box& box) {
   return estimate;
 }
 
-// A whole streamed session: enable, serve, disable, and only then
-// quiesce for the snapshot — no ticket is statically open at the
-// Quiesce call.
-void ServeSession(KdeSelectivityEstimator* model, const Box& box,
-                  double truth) {
-  model->EnableStreaming(2);
+// Serve, and only then quiesce for the snapshot — no ticket is
+// statically open at the Quiesce call.
+void ServeThenQuiesce(KdeSelectivityEstimator* model, const Box& box,
+                      double truth) {
   const std::uint64_t ticket = model->StreamBegin(box);
   model->StreamDeliver(ticket);
   model->StreamFeedback(ticket, truth);
-  model->DisableStreaming();
   model->Quiesce();
 }
 

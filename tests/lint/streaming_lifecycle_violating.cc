@@ -2,7 +2,7 @@
 // compiled; it is analyzed by fkde-lint in `ctest -L lint` and mirrors
 // client code driving the ticketed streaming API of
 // KdeSelectivityEstimator (StreamBegin / StreamDeliver /
-// StreamFeedback / StreamRetire, EnableStreaming / DisableStreaming).
+// StreamFeedback / StreamRetire).
 // Expected diagnostics are pinned in
 // streaming_lifecycle_violating.expected.
 #include "kde/kde_estimator.h"
@@ -11,8 +11,8 @@
 namespace fkde {
 
 // Admits a ticket and walks away: nothing on any path retires it, so
-// the slot leaks and DisableStreaming's all-retired precondition can
-// never hold again.
+// its ring slot stays in flight and the next classic call or Quiesce
+// aborts.
 double LeakTicket(KdeSelectivityEstimator* model, const Box& box) {
   const std::uint64_t ticket = model->StreamBegin(box);
   return model->StreamDeliver(ticket);
@@ -28,12 +28,6 @@ double SnapshotMidFlight(KdeSelectivityEstimator* model, const Box& box,
   model->Quiesce();
   model->StreamFeedback(ticket, truth);
   return estimate;
-}
-
-// Enables streaming and returns without disabling it: the sample
-// rebalancer stays frozen and the model is stuck in streamed mode.
-void ForgetDisable(KdeSelectivityEstimator* model) {
-  model->EnableStreaming(4);
 }
 
 }  // namespace fkde

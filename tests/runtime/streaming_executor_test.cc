@@ -58,7 +58,7 @@ struct Rig {
     StreamingReport report =
         executor.Run(model.get(), workload).MoveValueOrDie();
     EXPECT_EQ(model->stream_in_flight(), 0u);
-    EXPECT_EQ(model->streaming_depth(), 0u);
+    EXPECT_EQ(model->engine()->slots_in_flight(), 0u);
     model.reset();
     EXPECT_EQ(group->AggregateScratchStats().outstanding, 0u);
     return report;
@@ -147,6 +147,64 @@ TEST(StreamingExecutor, RingWrapAcrossShardsFrozenModel) {
     frozen.push_back(model->EstimateSelectivity(q.box));
   }
   EXPECT_TRUE(SameBits(a.estimates, frozen));
+}
+
+// The streamed-serving win on the modeled clock (the traffic_bench
+// gate, at test size): with a database execution window to hide device
+// work behind, four queries in flight beat the one-at-a-time cycle on
+// throughput and leave the host stalled for a smaller share of the run.
+TEST(StreamingExecutor, WindowFourBeatsWindowOneOnModeledClock) {
+  const Table table =
+      GenerateDataset("synthetic", 40000, 5, 1).MoveValueOrDie();
+  WorkloadGenerator generator(table);
+  Rng rng(18);
+  const std::vector<Query> workload =
+      generator.Generate(ParseWorkloadName("dt").ValueOrDie(), 40, &rng);
+  KdeConfig config;
+  config.sample_size = 16384;
+  config.seed = 30;
+  const auto run = [&](std::size_t window) {
+    auto group = BuildDeviceGroup("gpu").MoveValueOrDie();
+    auto model = KdeSelectivityEstimator::Create(
+                     KdeSelectivityEstimator::Mode::kAdaptive, group.get(),
+                     &table, config)
+                     .MoveValueOrDie();
+    StreamingOptions options;
+    options.window = window;
+    options.execution_seconds = 200e-6;
+    StreamingReport report;
+    FeedbackDriver::RunStreamed(model.get(), workload, options, &report)
+        .MoveValueOrDie();
+    return report;
+  };
+  const StreamingReport one = run(1);
+  const StreamingReport four = run(4);
+  EXPECT_GT(four.throughput_qps, one.throughput_qps);
+  EXPECT_LT(four.idle_gap, one.idle_gap);
+}
+
+// A classic estimate left without feedback holds the head of the ticket
+// FIFO; a stream on the same model retires it first and matches a stream
+// on a model that never served it.
+TEST(StreamingExecutor, StreamAfterUnansweredClassicEstimate) {
+  Rig rig(12);
+  StreamingOptions options;
+  options.window = 3;
+  const StreamingReport fresh = rig.Run("gpu", options);
+
+  DeviceGroupOptions group_options;
+  group_options.hazard_mode = HazardMode::kStrict;
+  auto group = BuildDeviceGroup("gpu", group_options).MoveValueOrDie();
+  auto model = KdeSelectivityEstimator::Create(
+                   KdeSelectivityEstimator::Mode::kAdaptive, group.get(),
+                   &rig.table, rig.config)
+                   .MoveValueOrDie();
+  (void)model->EstimateSelectivity(rig.workload[0].box);
+  StreamingExecutor executor(group.get(), options);
+  const StreamingReport after =
+      executor.Run(model.get(), rig.workload).MoveValueOrDie();
+  EXPECT_TRUE(SameBits(after.estimates, fresh.estimates));
+  EXPECT_EQ(model->stream_in_flight(), 0u);
 }
 
 TEST(StreamingExecutor, PoissonArrivalsDeterministicAndMonotone) {
@@ -243,12 +301,11 @@ TEST(StreamingExecutor, RunCatalogStreamsThenEvictsCleanly) {
   EXPECT_LE(estimate, 1.0);
 }
 
-// Regression: ticket ids are session-local. The counter used to carry
-// across streaming sessions, which made it hidden persistent state — a
-// snapshot-restored model (whose counter starts fresh) would hand out
-// different ids than the original for the same admission schedule.
-// Every EnableStreaming now restarts ids at 0.
-TEST(StreamingExecutor, TicketIdsRestartEachSession) {
+// Regression: ticket ids are not persistent state. A counter that never
+// restarted would make a snapshot-restored model (whose counter starts
+// fresh) hand out different ids than the original for the same
+// admission schedule. Ids restart at 0 whenever the FIFO empties.
+TEST(StreamingExecutor, TicketIdsRestartWhenFifoEmpties) {
   Rig rig(8);
   DeviceGroupOptions group_options;
   group_options.hazard_mode = HazardMode::kStrict;
@@ -258,24 +315,28 @@ TEST(StreamingExecutor, TicketIdsRestartEachSession) {
                    &rig.table, rig.config)
                    .MoveValueOrDie();
 
-  ASSERT_TRUE(model->EnableStreaming(2).ok());
+  // Three tickets in flight count up from 0.
+  std::vector<std::uint64_t> tickets;
   for (std::size_t k = 0; k < 3; ++k) {
-    const StreamedQuery& q = rig.workload[k];
-    const std::uint64_t ticket = model->StreamBegin(q.box);
-    EXPECT_EQ(ticket, static_cast<std::uint64_t>(k));
-    model->StreamDeliver(ticket);
-    model->StreamFeedback(ticket, q.truth);
+    tickets.push_back(model->StreamBegin(rig.workload[k].box));
+    EXPECT_EQ(tickets.back(), static_cast<std::uint64_t>(k));
   }
-  model->DisableStreaming();
+  // An admission behind open tickets keeps counting.
+  model->StreamDeliver(tickets[0]);
+  model->StreamFeedback(tickets[0], rig.workload[0].truth);
+  EXPECT_EQ(model->StreamBegin(rig.workload[3].box), 3u);
+  for (std::uint64_t ticket : {1u, 2u, 3u}) {
+    model->StreamDeliver(ticket);
+    model->StreamRetire(ticket);
+  }
+  EXPECT_EQ(model->engine()->slots_in_flight(), 0u);
 
-  // A second session on the same model starts over at ticket 0 — the
-  // same ids a freshly restored copy of the model would hand out.
-  ASSERT_TRUE(model->EnableStreaming(2).ok());
-  const std::uint64_t first = model->StreamBegin(rig.workload[3].box);
+  // Once the FIFO is empty the next admission starts over at ticket 0 —
+  // the same id a freshly restored copy of the model would hand out.
+  const std::uint64_t first = model->StreamBegin(rig.workload[4].box);
   EXPECT_EQ(first, 0u);
   model->StreamDeliver(first);
   model->StreamRetire(first);
-  model->DisableStreaming();
 }
 
 }  // namespace

@@ -501,8 +501,7 @@ void CheckLockDiscipline(const SourceFile& sf, const FunctionInfo& fn,
 // streaming-lifecycle
 
 bool IsStreamApiName(const std::string& name) {
-  return name == "EnableStreaming" || name == "DisableStreaming" ||
-         name == "StreamBegin" || name == "StreamDeliver" ||
+  return name == "StreamBegin" || name == "StreamDeliver" ||
          name == "StreamFeedback" || name == "StreamRetire";
 }
 
@@ -512,18 +511,15 @@ void CheckStreamingLifecycle(const SourceFile& sf, const FunctionInfo& fn,
   // The API definitions (and wrappers forwarding under the same name)
   // are the protocol's implementation, not a client of it.
   if (IsStreamApiName(fn.name) || fn.name == "Quiesce") return;
-  std::vector<const CallSite*> begins, retires, enables, disables;
+  std::vector<const CallSite*> begins, retires;
   for (const CallSite& c : fn.calls) {
     if (c.name == "StreamBegin") begins.push_back(&c);
     if (c.name == "StreamRetire" || c.name == "StreamFeedback") {
       retires.push_back(&c);
     }
-    if (c.name == "EnableStreaming") enables.push_back(&c);
-    if (c.name == "DisableStreaming") disables.push_back(&c);
   }
-  // Helper calls whose facts retire/disable on our behalf.
+  // Helper calls whose facts retire on our behalf.
   bool helper_retires = false;
-  bool helper_disables = false;
   std::size_t last_retire_tok = 0;
   for (const CallSite& c : fn.calls) {
     if (program && !IsStreamApiName(c.name) && c.name != fn.name) {
@@ -532,7 +528,6 @@ void CheckStreamingLifecycle(const SourceFile& sf, const FunctionInfo& fn,
         helper_retires = true;
         last_retire_tok = std::max(last_retire_tok, c.token);
       }
-      if (f && f->disables_stream) helper_disables = true;
     }
   }
   for (const CallSite* r : retires) {
@@ -566,18 +561,6 @@ void CheckStreamingLifecycle(const SourceFile& sf, const FunctionInfo& fn,
                  "' is reachable while a streamed ticket is statically "
                  "open (between StreamBegin and the last retire)");
       }
-    }
-  }
-  for (const CallSite* e : enables) {
-    bool matched = helper_disables;
-    for (const CallSite* d : disables) {
-      if (d->base == e->base) matched = true;
-    }
-    if (!matched) {
-      Emit(out, sf, "streaming-lifecycle", e->line,
-           "EnableStreaming on '" +
-               (e->base.empty() ? std::string("this") : e->base) +
-               "' has no matching DisableStreaming in '" + fn.name + "'");
     }
   }
 }

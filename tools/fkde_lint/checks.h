@@ -18,10 +18,9 @@
 ///                          across a per-entry mutex acquire, a blocking
 ///                          point, or a re-acquire of itself.
 ///   * `streaming-lifecycle` — StreamBegin is matched by
-///                          StreamRetire/StreamFeedback, EnableStreaming
-///                          by DisableStreaming, and no Quiesce/snapshot
-///                          call is reachable while a ticket is
-///                          statically open.
+///                          StreamRetire/StreamFeedback, and no
+///                          Quiesce/snapshot call is reachable while a
+///                          ticket is statically open.
 ///   * `snapshot-completeness` — every persistent member of a class
 ///                          declaring `friend class ModelSnapshotAccess`
 ///                          is written by both the save and restore

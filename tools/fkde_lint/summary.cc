@@ -80,8 +80,6 @@ FunctionFacts DistillFacts(const SourceFile& sf, const FunctionInfo& fn) {
     if (c.name == "StreamRetire" || c.name == "StreamFeedback") {
       f.retires_stream = true;
     }
-    if (c.name == "EnableStreaming") f.enables_stream = true;
-    if (c.name == "DisableStreaming") f.disables_stream = true;
     if (c.name == "Quiesce" || c.name == "SnapshotModel" ||
         c.name == "SaveSnapshot") {
       f.quiesces = true;
@@ -118,8 +116,6 @@ TuSummary Summarize(const SourceFile& sf) {
     slot.acquires_admission |= f.acquires_admission;
     slot.begins_stream |= f.begins_stream;
     slot.retires_stream |= f.retires_stream;
-    slot.enables_stream |= f.enables_stream;
-    slot.disables_stream |= f.disables_stream;
     slot.quiesces |= f.quiesces;
   }
   if (sf.defines_snapshot_codec) {
@@ -159,8 +155,6 @@ std::string SerializeTuSummary(const TuSummary& tu) {
     if (f.acquires_admission) out << 'm';
     if (f.begins_stream) out << 'B';
     if (f.retires_stream) out << 'R';
-    if (f.enables_stream) out << 'E';
-    if (f.disables_stream) out << 'D';
     if (f.quiesces) out << 'q';
     out << "\n";
   }
@@ -215,8 +209,6 @@ bool ParseTuSummary(const std::string& text, TuSummary* out) {
         if (c == 'm') f.acquires_admission = true;
         if (c == 'B') f.begins_stream = true;
         if (c == 'R') f.retires_stream = true;
-        if (c == 'E') f.enables_stream = true;
-        if (c == 'D') f.disables_stream = true;
         if (c == 'q') f.quiesces = true;
       }
     } else if (w[0] == "class" && w.size() >= 3) {
@@ -290,8 +282,6 @@ void ProgramIndex::Add(const TuSummary& tu) {
     slot.acquires_admission |= f.acquires_admission;
     slot.begins_stream |= f.begins_stream;
     slot.retires_stream |= f.retires_stream;
-    slot.enables_stream |= f.enables_stream;
-    slot.disables_stream |= f.disables_stream;
     slot.quiesces |= f.quiesces;
   }
   for (const SnapshotClassInfo& cls : tu.snapshot_classes) {

@@ -43,14 +43,12 @@ struct FunctionFacts {
   bool acquires_admission = false; ///< Locks any other (non-try) mutex.
   bool begins_stream = false;      ///< Calls StreamBegin.
   bool retires_stream = false;     ///< Calls StreamRetire/StreamFeedback.
-  bool enables_stream = false;     ///< Calls EnableStreaming.
-  bool disables_stream = false;    ///< Calls DisableStreaming.
   bool quiesces = false;           ///< Calls Quiesce or a snapshot entry.
 
   bool Any() const {
     return blocks || drains || allocates || acquires_registry ||
            acquires_admission || begins_stream || retires_stream ||
-           enables_stream || disables_stream || quiesces;
+           quiesces;
   }
 };
 
