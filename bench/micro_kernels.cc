@@ -290,7 +290,7 @@ BENCHMARK(BM_SampleReplaceRow)->Unit(benchmark::kNanosecond);
 
 // The raw fused contribution loop of one kernel backend, outside the
 // device/queue machinery: per-element cost of the scalar reference, the
-// simd double path (hoisted scalar math over SoA strips; 4-wide for
+// simd double path (the scalar body for the Gaussian; 4-wide for
 // Epanechnikov), and the simd float path (8-wide AVX2 with the polynomial
 // erf/exp lanes). This is the tentpole's per-element number — the
 // speedup column is the calibration ratio the cost model installs.
@@ -310,11 +310,11 @@ void BM_FusedContribution(benchmark::State& state) {
     return;
   }
   Rng rng(8);
-  std::vector<float> aos(s * d);
-  for (float& x : aos) x = static_cast<float>(rng.Uniform());
-  std::vector<float> soa(s * d);
+  std::vector<float> strips(s * d);
   for (std::size_t i = 0; i < s; ++i) {
-    for (std::size_t j = 0; j < d; ++j) soa[j * s + i] = aos[i * d + j];
+    for (std::size_t j = 0; j < d; ++j) {
+      strips[j * s + i] = static_cast<float>(rng.Uniform());
+    }
   }
   const std::vector<double> h(d, 0.12);
   std::vector<double> bounds(2 * d);
@@ -327,9 +327,8 @@ void BM_FusedContribution(benchmark::State& state) {
   view.precision = ResolveKernelPrecision(requested_precision);
   view.kernel = KernelType::kGaussian;
   view.d = d;
-  view.aos = aos.data();
-  view.soa = backend == KernelBackend::kSimd ? soa.data() : nullptr;
-  view.soa_stride = s;
+  view.sample = strips.data();
+  view.stride = s;
   view.h = h.data();
   std::vector<double> contrib(s);
   for (auto _ : state) {

@@ -22,9 +22,6 @@ KdeEngine::KdeEngine(DeviceSample* sample, KernelType kernel)
     sh.backend = ResolveKernelBackend(sh.device->profile().kernel_backend);
     sh.precision =
         ResolveKernelPrecision(sh.device->profile().kernel_precision);
-    // Simd shards read dim-major strips; mirror the shard before the
-    // Scott pass below touches it.
-    if (sh.backend == KernelBackend::kSimd) sample_->EnableSoaMirror(si);
     sh.bandwidth_dev = sh.device->CreateBuffer<double>(d);
     sh.point_scales = sh.device->CreateBuffer<float>(sample_->capacity());
   }
@@ -47,7 +44,6 @@ std::size_t KdeEngine::AcquireSlot() {
       // Capacity-sized so rebalancing growth never reallocates under
       // enqueued commands that captured the raw device pointers.
       sl.contributions = sh.device->CreateBuffer<double>(capacity);
-      sl.grad_partials = sh.device->CreateBuffer<double>(d * capacity);
       sl.grad_sums = sh.device->CreateBuffer<double>(d);
       sl.est_sum = sh.device->CreateBuffer<double>(1);
       // Sized once so enqueued gradient read-backs never race a
@@ -187,7 +183,6 @@ std::vector<double> KdeEngine::ComputeScottBandwidth() {
     EngineShard& sh = shards_[si];
     const std::size_t rows = sample_->shard_size(si);
     if (rows == 0) continue;
-    if (sh.backend == KernelBackend::kSimd) sample_->EnsureSoaCurrent(si);
     CommandQueue* queue = sh.device->default_queue();
     moments[si] = sh.device->AcquireScratch(2 * d * rows);
     sums[si] = sh.device->AcquireScratch(2 * d);
@@ -198,19 +193,16 @@ std::vector<double> KdeEngine::ComputeScottBandwidth() {
     // pointer surface, which fkde-lint checks at view granularity.
     const kb::ShardKernelView view = MomentsView(si);
     double* out = moments[si]->device_data();
-    BufferAccess moments_acc[3];
-    std::size_t na = 0;
-    moments_acc[na++] = Reads(sample_->shard_buffer(si), 0, rows * d);
-    moments_acc[na++] = Writes(*moments[si], 0, 2 * d * rows);
-    if (view.soa != nullptr) {
-      moments_acc[na++] = Reads(sample_->shard_soa(si));
-    }
+    // The live prefix of every strip.
+    const BufferAccess moments_acc[] = {
+        Reads(sample_->shard_buffer(si), 0, rows, sample_->stride(), d),
+        Writes(*moments[si], 0, 2 * d * rows)};
     queue->EnqueueLaunch(
         "scott_moments", rows, 2.0 * static_cast<double>(d),
         [view, out, rows](std::size_t begin, std::size_t end) {
           kb::Moments(view, out, rows, begin, end);
         },
-        std::span<const BufferAccess>(moments_acc, na));
+        moments_acc);
     EnqueueReduceSumSegments(queue, *moments[si], 0, rows, 2 * d,
                              sums[si].get());
     done[si] = queue->EnqueueCopyToHost(*sums[si], 0, 2 * d,
@@ -256,11 +248,8 @@ kb::ShardKernelView KdeEngine::MomentsView(std::size_t shard) const {
   view.precision = sh.precision;
   view.kernel = kernel_;
   view.d = dims();
-  view.aos = sample_->shard_buffer(shard).device_data();
-  if (sh.backend == KernelBackend::kSimd && sample_->soa_enabled(shard)) {
-    view.soa = sample_->shard_soa(shard).device_data();
-    view.soa_stride = sample_->soa_stride();
-  }
+  view.sample = sample_->shard_buffer(shard).device_data();
+  view.stride = sample_->stride();
   return view;
 }
 
@@ -310,20 +299,19 @@ std::size_t KdeEngine::BeginEstimateSlot(const Box& box) {
     sl.est_staging = 0.0;
     sl.est_done = Event();
     if (rows == 0) continue;
-    if (sh.backend == KernelBackend::kSimd) sample_->EnsureSoaCurrent(si);
     CommandQueue* queue = sh.device->default_queue();
     queue->EnqueueCopyToDevice(staging, 2 * d, &sl.bounds_dev);
     const kb::ShardKernelView view = ShardView(si);
     const double* bounds = sl.bounds_dev.device_data();
     double* contrib = sl.contributions.device_data();
-    BufferAccess acc[6];
+    BufferAccess acc[5];
     std::size_t na = 0;
-    acc[na++] = Reads(sample_->shard_buffer(si), 0, rows * d);
+    acc[na++] =
+        Reads(sample_->shard_buffer(si), 0, rows, sample_->stride(), d);
     acc[na++] = Reads(sl.bounds_dev, 0, 2 * d);
     acc[na++] = Reads(sh.bandwidth_dev, 0, d);
     acc[na++] = Writes(sl.contributions, 0, rows);
     if (has_scales_) acc[na++] = Reads(sh.point_scales, 0, rows);
-    if (view.soa != nullptr) acc[na++] = Reads(sample_->shard_soa(si));
     queue->EnqueueLaunch(
         "kde_contributions", rows, static_cast<double>(d),
         [view, bounds, contrib](std::size_t begin, std::size_t end) {
@@ -358,7 +346,11 @@ void KdeEngine::EnqueueGradientPartialsKernel(std::size_t shard,
   ShardSlot& sl = sh.slots[slot];
   const std::size_t rows = sample_->shard_size(shard);
   const std::size_t d = dims();
-  if (sh.backend == KernelBackend::kSimd) sample_->EnsureSoaCurrent(shard);
+  // Only slots that run a gradient pass hold partials: estimate-only
+  // models never allocate them. Capacity-sized, like every slot buffer.
+  if (sl.grad_partials.empty()) {
+    sl.grad_partials = sh.device->CreateBuffer<double>(d * sample_->capacity());
+  }
   const kb::ShardKernelView view = ShardView(shard);
   const double* bounds = sl.bounds_dev.device_data();
   double* contrib = sl.contributions.device_data();
@@ -376,15 +368,15 @@ void KdeEngine::EnqueueGradientPartialsKernel(std::size_t shard,
     kb::FusedContributionGrad(view, bounds, contrib, partials, rows, begin,
                               end);
   };
-  BufferAccess acc[7];
+  BufferAccess acc[6];
   std::size_t na = 0;
-  acc[na++] = Reads(sample_->shard_buffer(shard), 0, rows * d);
+  acc[na++] =
+      Reads(sample_->shard_buffer(shard), 0, rows, sample_->stride(), d);
   acc[na++] = Reads(sl.bounds_dev, 0, 2 * d);
   acc[na++] = Reads(sh.bandwidth_dev, 0, d);
   acc[na++] = Writes(sl.contributions, 0, rows);
   acc[na++] = Writes(sl.grad_partials, 0, d * rows);
   if (has_scales_) acc[na++] = Reads(sh.point_scales, 0, rows);
-  if (view.soa != nullptr) acc[na++] = Reads(sample_->shard_soa(shard));
   sh.device->default_queue()->EnqueueLaunch(
       "kde_contributions_grad", rows, 3.0 * static_cast<double>(d), body,
       std::span<const BufferAccess>(acc, na));
@@ -515,7 +507,6 @@ std::vector<KdeEngine::BatchShard> KdeEngine::EnqueueBatchPipelines(
     EngineShard& sh = shards_[si];
     const std::size_t rows = sample_->shard_size(si);
     if (rows == 0) continue;
-    if (sh.backend == KernelBackend::kSimd) sample_->EnsureSoaCurrent(si);
     BatchShard& bs = states[si];
     CommandQueue* queue = sh.device->default_queue();
 
@@ -561,14 +552,14 @@ std::vector<KdeEngine::BatchShard> KdeEngine::EnqueueBatchPipelines(
           (void)hold_bounds;
           (void)hold_contrib;
         };
-        BufferAccess acc[6];
+        BufferAccess acc[5];
         std::size_t na = 0;
-        acc[na++] = Reads(sample_->shard_buffer(si), 0, rows * d);
+        acc[na++] =
+            Reads(sample_->shard_buffer(si), 0, rows, sample_->stride(), d);
         acc[na++] = Reads(*bs.bounds, t0 * 2 * d, t * 2 * d);
         acc[na++] = Reads(sh.bandwidth_dev, 0, d);
         acc[na++] = Writes(*bs.contrib, 0, t * rows);
         if (has_scales_) acc[na++] = Reads(sh.point_scales, 0, rows);
-        if (view.soa != nullptr) acc[na++] = Reads(sample_->shard_soa(si));
         queue->EnqueueLaunch("kde_batch_contributions", rows,
                              static_cast<double>(t * d), body,
                              std::span<const BufferAccess>(acc, na));
@@ -589,15 +580,15 @@ std::vector<KdeEngine::BatchShard> KdeEngine::EnqueueBatchPipelines(
           (void)hold_contrib;
           (void)hold_partials;
         };
-        BufferAccess acc[7];
+        BufferAccess acc[6];
         std::size_t na = 0;
-        acc[na++] = Reads(sample_->shard_buffer(si), 0, rows * d);
+        acc[na++] =
+            Reads(sample_->shard_buffer(si), 0, rows, sample_->stride(), d);
         acc[na++] = Reads(*bs.bounds, t0 * 2 * d, t * 2 * d);
         acc[na++] = Reads(sh.bandwidth_dev, 0, d);
         acc[na++] = Writes(*bs.contrib, 0, t * rows);
         acc[na++] = Writes(*bs.partials, 0, t * d * rows);
         if (has_scales_) acc[na++] = Reads(sh.point_scales, 0, rows);
-        if (view.soa != nullptr) acc[na++] = Reads(sample_->shard_soa(si));
         queue->EnqueueLaunch("kde_batch_contributions_grad", rows,
                              3.0 * static_cast<double>(t * d), body,
                              std::span<const BufferAccess>(acc, na));
@@ -874,6 +865,18 @@ double KdeEngine::EstimateBatchLoss(std::span<const Box> boxes,
 std::size_t KdeEngine::ModelBytes() const {
   return sample_->PayloadBytes() + bandwidth_.size() * sizeof(double) +
          sample_size() * sizeof(double);
+}
+
+std::size_t KdeEngine::SlotBytes() const {
+  std::size_t doubles = 0;
+  for (const EngineShard& sh : shards_) {
+    for (const ShardSlot& sl : sh.slots) {
+      doubles += sl.bounds_dev.size() + sl.contributions.size() +
+                 sl.grad_partials.size() + sl.grad_sums.size() +
+                 sl.est_sum.size();
+    }
+  }
+  return doubles * sizeof(double);
 }
 
 }  // namespace fkde

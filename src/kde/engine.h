@@ -265,6 +265,11 @@ class KdeEngine {
   /// what the model must keep resident between queries.
   std::size_t ModelBytes() const;
 
+  /// Device bytes held by the slot ring across all shards: per slot the
+  /// bounds, contributions, reduced sums and, once the slot ran a
+  /// gradient pass, its gradient partials.
+  std::size_t SlotBytes() const;
+
  private:
   /// One in-flight query's device state on one shard: the bounds it
   /// queried, its retained contributions/partials and the read-back
@@ -275,7 +280,9 @@ class KdeEngine {
   struct ShardSlot {
     DeviceBuffer<double> bounds_dev;     // 2d doubles: l_0..l_d-1,u_0..
     DeviceBuffer<double> contributions;  // capacity doubles.
-    DeviceBuffer<double> grad_partials;  // d*capacity doubles, dim-major.
+    /// d*capacity doubles, dim-major; allocated by the slot's first
+    /// gradient pass, so estimate-only models never hold it.
+    DeviceBuffer<double> grad_partials;
     DeviceBuffer<double> grad_sums;      // d reduced gradient sums.
     DeviceBuffer<double> est_sum;        // 1 reduced contribution sum.
     std::vector<double> grad_staging;    // d-double read-back staging.
@@ -324,8 +331,7 @@ class KdeEngine {
 
   /// Builds the kernel-backend view of shard `shard` (raw device pointers
   /// plus resolved backend/precision) captured by the fused kernel
-  /// bodies. For simd shards, call `sample_->EnsureSoaCurrent(shard)`
-  /// before enqueuing a body that consumes the view.
+  /// bodies.
   kb::ShardKernelView ShardView(std::size_t shard) const;
 
   /// Sample-only subset of ShardView for the Scott moments kernel: no

@@ -19,9 +19,11 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar backend: the seed's per-point loops with the per-(query, dim)
-// reciprocals hoisted out of the point loop. Bitwise-identical to the
-// pre-backend engine (the hoisted reciprocal is computed by the same
-// expression the unhoisted kernel evaluated per point).
+// reciprocals hoisted out of the point loop, reading the dim-major
+// strips. Bitwise-identical to the pre-backend engine (the hoisted
+// reciprocal is computed by the same expression the unhoisted kernel
+// evaluated per point), and the fallback of every simd path the CPU or
+// the precision cannot vectorize.
 
 void ScalarContribution(const ShardKernelView& v, const double* qb,
                         double* contrib, std::size_t begin, std::size_t end) {
@@ -33,24 +35,24 @@ void ScalarContribution(const ShardKernelView& v, const double* qb,
     }
   }
   for (std::size_t i = begin; i < end; ++i) {
-    const float* row = v.aos + i * d;
     double prod = 1.0;
     if (v.scales == nullptr) {
       for (std::size_t j = 0; j < d; ++j) {
-        prod *= kernel::CdfDiffHoisted(v.kernel, static_cast<double>(row[j]),
-                                       f[j].inv_cdf, qb[j], qb[d + j]);
+        const double t = static_cast<double>(v.sample[j * v.stride + i]);
+        prod *= kernel::CdfDiffHoisted(v.kernel, t, f[j].inv_cdf, qb[j],
+                                       qb[d + j]);
       }
     } else {
       // Per-point bandwidths defeat the hoist; same per-point expression
       // as the unhoisted CdfDiff, so still bitwise-identical to the seed.
       const double scale = static_cast<double>(v.scales[i]);
       for (std::size_t j = 0; j < d; ++j) {
+        const double t = static_cast<double>(v.sample[j * v.stride + i]);
         const double hj = v.h[j] * scale;
         const double inv = v.kernel == KernelType::kGaussian
                                ? kernel::kInvSqrt2 / hj
                                : 1.0 / hj;
-        prod *= kernel::CdfDiffHoisted(v.kernel, static_cast<double>(row[j]),
-                                       inv, qb[j], qb[d + j]);
+        prod *= kernel::CdfDiffHoisted(v.kernel, t, inv, qb[j], qb[d + j]);
       }
     }
     contrib[i] = prod;
@@ -72,10 +74,9 @@ void ScalarContributionGrad(const ShardKernelView& v, const double* qb,
   double dcdf[kMaxDims];
   double suffix[kMaxDims + 1];
   for (std::size_t i = begin; i < end; ++i) {
-    const float* row = v.aos + i * d;
     if (v.scales == nullptr) {
       for (std::size_t j = 0; j < d; ++j) {
-        const double t = static_cast<double>(row[j]);
+        const double t = static_cast<double>(v.sample[j * v.stride + i]);
         cdf[j] = kernel::CdfDiffHoisted(v.kernel, t, f[j].inv_cdf, qb[j],
                                         qb[d + j]);
         dcdf[j] = kernel::CdfDiffDhHoisted(v.kernel, t, f[j].inv_dh, qb[j],
@@ -84,7 +85,7 @@ void ScalarContributionGrad(const ShardKernelView& v, const double* qb,
     } else {
       const double scale = static_cast<double>(v.scales[i]);
       for (std::size_t j = 0; j < d; ++j) {
-        const double t = static_cast<double>(row[j]);
+        const double t = static_cast<double>(v.sample[j * v.stride + i]);
         const kernel::HoistedFactors fj =
             kernel::HoistFactors(v.kernel, v.h[j] * scale);
         cdf[j] = kernel::CdfDiffHoisted(v.kernel, t, fj.inv_cdf, qb[j],
@@ -102,126 +103,6 @@ void ScalarContributionGrad(const ShardKernelView& v, const double* qb,
     for (std::size_t j = 0; j < d; ++j) {
       partials[j * pitch + i] = prefix * dcdf[j] * suffix[j + 1];
       prefix *= cdf[j];
-    }
-  }
-}
-
-void ScalarMoments(const ShardKernelView& v, double* out, std::size_t rows,
-                   std::size_t begin, std::size_t end) {
-  const std::size_t d = v.d;
-  for (std::size_t i = begin; i < end; ++i) {
-    const float* row = v.aos + i * d;
-    for (std::size_t dim = 0; dim < d; ++dim) {
-      const double val = static_cast<double>(row[dim]);
-      out[(2 * dim) * rows + i] = val;
-      out[(2 * dim + 1) * rows + i] = val * val;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// SIMD backend, double precision. There is no vector libm to lean on for
-// erf/exp, so the Gaussian double path keeps scalar libm per point and
-// gains from the hoisting and the contiguous SoA strips only (bitwise
-// equal to the scalar backend); the Epanechnikov double path (pure
-// polynomial) vectorizes 4-wide below.
-
-void ContributionDoubleSoa(const ShardKernelView& v, const double* qb,
-                           double* contrib, std::size_t begin,
-                           std::size_t end) {
-  const std::size_t d = v.d;
-  const std::size_t stride = v.soa_stride;
-  kernel::HoistedFactors f[kMaxDims];
-  if (v.scales == nullptr) {
-    for (std::size_t j = 0; j < d; ++j) {
-      f[j] = kernel::HoistFactors(v.kernel, v.h[j]);
-    }
-  }
-  for (std::size_t i = begin; i < end; ++i) {
-    double prod = 1.0;
-    if (v.scales == nullptr) {
-      for (std::size_t j = 0; j < d; ++j) {
-        const double t = static_cast<double>(v.soa[j * stride + i]);
-        prod *= kernel::CdfDiffHoisted(v.kernel, t, f[j].inv_cdf, qb[j],
-                                       qb[d + j]);
-      }
-    } else {
-      const double scale = static_cast<double>(v.scales[i]);
-      for (std::size_t j = 0; j < d; ++j) {
-        const double t = static_cast<double>(v.soa[j * stride + i]);
-        const double hj = v.h[j] * scale;
-        const double inv = v.kernel == KernelType::kGaussian
-                               ? kernel::kInvSqrt2 / hj
-                               : 1.0 / hj;
-        prod *= kernel::CdfDiffHoisted(v.kernel, t, inv, qb[j], qb[d + j]);
-      }
-    }
-    contrib[i] = prod;
-  }
-}
-
-void ContributionGradDoubleSoa(const ShardKernelView& v, const double* qb,
-                               double* contrib, double* partials,
-                               std::size_t pitch, std::size_t begin,
-                               std::size_t end) {
-  const std::size_t d = v.d;
-  const std::size_t stride = v.soa_stride;
-  kernel::HoistedFactors f[kMaxDims];
-  if (v.scales == nullptr) {
-    for (std::size_t j = 0; j < d; ++j) {
-      f[j] = kernel::HoistFactors(v.kernel, v.h[j]);
-    }
-  }
-  double cdf[kMaxDims];
-  double dcdf[kMaxDims];
-  double suffix[kMaxDims + 1];
-  for (std::size_t i = begin; i < end; ++i) {
-    if (v.scales == nullptr) {
-      for (std::size_t j = 0; j < d; ++j) {
-        const double t = static_cast<double>(v.soa[j * stride + i]);
-        cdf[j] = kernel::CdfDiffHoisted(v.kernel, t, f[j].inv_cdf, qb[j],
-                                        qb[d + j]);
-        dcdf[j] = kernel::CdfDiffDhHoisted(v.kernel, t, f[j].inv_dh, qb[j],
-                                           qb[d + j]);
-      }
-    } else {
-      const double scale = static_cast<double>(v.scales[i]);
-      for (std::size_t j = 0; j < d; ++j) {
-        const double t = static_cast<double>(v.soa[j * stride + i]);
-        const kernel::HoistedFactors fj =
-            kernel::HoistFactors(v.kernel, v.h[j] * scale);
-        cdf[j] = kernel::CdfDiffHoisted(v.kernel, t, fj.inv_cdf, qb[j],
-                                        qb[d + j]);
-        dcdf[j] = scale * kernel::CdfDiffDhHoisted(v.kernel, t, fj.inv_dh,
-                                                   qb[j], qb[d + j]);
-      }
-    }
-    suffix[d] = 1.0;
-    for (std::size_t j = d; j-- > 0;) suffix[j] = suffix[j + 1] * cdf[j];
-    contrib[i] = suffix[0];
-    double prefix = 1.0;
-    for (std::size_t j = 0; j < d; ++j) {
-      partials[j * pitch + i] = prefix * dcdf[j] * suffix[j + 1];
-      prefix *= cdf[j];
-    }
-  }
-}
-
-/// Dim-major moments over the SoA strips: the loop reorder (dimension
-/// outside, point inside) turns every load and store into a sequential
-/// stream. Pure widen-then-double math, so results are bitwise equal to
-/// the scalar backend in both precisions.
-void MomentsSoa(const ShardKernelView& v, double* out, std::size_t rows,
-                std::size_t begin, std::size_t end) {
-  const std::size_t d = v.d;
-  for (std::size_t dim = 0; dim < d; ++dim) {
-    const float* strip = v.soa + dim * v.soa_stride;
-    double* first = out + (2 * dim) * rows;
-    double* second = out + (2 * dim + 1) * rows;
-    for (std::size_t i = begin; i < end; ++i) {
-      const double val = static_cast<double>(strip[i]);
-      first[i] = val;
-      second[i] = val * val;
     }
   }
 }
@@ -345,14 +226,14 @@ __attribute__((target("avx2,fma"))) inline void StoreWide8(__m256 lane,
   _mm256_storeu_pd(out + 4, _mm256_cvtps_pd(_mm256_extractf128_ps(lane, 1)));
 }
 
-/// Float-precision fused contribution: 8-wide lanes over the SoA strips,
+/// Float-precision fused contribution: 8-wide lanes over the strips,
 /// scalar float mirrors (same math) on the remainder tail, double
 /// accumulation at store.
 __attribute__((target("avx2,fma"))) void ContributionFloatAvx2(
     const ShardKernelView& v, const double* qb, double* contrib,
     std::size_t begin, std::size_t end) {
   const std::size_t d = v.d;
-  const std::size_t stride = v.soa_stride;
+  const std::size_t stride = v.stride;
   float inv_f[kMaxDims];
   float lo_f[kMaxDims];
   float hi_f[kMaxDims];
@@ -372,7 +253,7 @@ __attribute__((target("avx2,fma"))) void ContributionFloatAvx2(
     }
     __m256 prod = one;
     for (std::size_t j = 0; j < d; ++j) {
-      const __m256 t = _mm256_loadu_ps(v.soa + j * stride + i);
+      const __m256 t = _mm256_loadu_ps(v.sample + j * stride + i);
       __m256 inv = _mm256_set1_ps(inv_f[j]);
       if (v.scales != nullptr) inv = _mm256_mul_ps(inv, rcp);
       prod = _mm256_mul_ps(prod, CdfDiffV8(v.kernel, t, inv,
@@ -385,7 +266,7 @@ __attribute__((target("avx2,fma"))) void ContributionFloatAvx2(
     const float rcp = v.scales != nullptr ? 1.0f / v.scales[i] : 1.0f;
     float prod = 1.0f;
     for (std::size_t j = 0; j < d; ++j) {
-      const float t = v.soa[j * stride + i];
+      const float t = v.sample[j * stride + i];
       const float inv = v.scales != nullptr ? inv_f[j] * rcp : inv_f[j];
       prod *= kernel::CdfDiffHoistedF(v.kernel, t, inv, lo_f[j], hi_f[j]);
     }
@@ -399,7 +280,7 @@ __attribute__((target("avx2,fma"))) void ContributionGradFloatAvx2(
     const ShardKernelView& v, const double* qb, double* contrib,
     double* partials, std::size_t pitch, std::size_t begin, std::size_t end) {
   const std::size_t d = v.d;
-  const std::size_t stride = v.soa_stride;
+  const std::size_t stride = v.stride;
   const bool gaussian = v.kernel == KernelType::kGaussian;
   float inv_f[kMaxDims];
   float inv_dh_f[kMaxDims];
@@ -432,7 +313,7 @@ __attribute__((target("avx2,fma"))) void ContributionGradFloatAvx2(
       rcp_dh = gaussian ? _mm256_mul_ps(rcp, rcp) : rcp;
     }
     for (std::size_t j = 0; j < d; ++j) {
-      const __m256 t = _mm256_loadu_ps(v.soa + j * stride + i);
+      const __m256 t = _mm256_loadu_ps(v.sample + j * stride + i);
       __m256 inv = _mm256_set1_ps(inv_f[j]);
       __m256 inv_dh = _mm256_set1_ps(inv_dh_f[j]);
       if (v.scales != nullptr) {
@@ -471,7 +352,7 @@ __attribute__((target("avx2,fma"))) void ContributionGradFloatAvx2(
     const float rcp_dh =
         v.scales != nullptr ? (gaussian ? rcp * rcp : rcp) : 1.0f;
     for (std::size_t j = 0; j < d; ++j) {
-      const float t = v.soa[j * stride + i];
+      const float t = v.sample[j * stride + i];
       const float inv = v.scales != nullptr ? inv_f[j] * rcp : inv_f[j];
       const float inv_dh =
           v.scales != nullptr ? inv_dh_f[j] * rcp_dh : inv_dh_f[j];
@@ -513,7 +394,7 @@ __attribute__((target("avx2,fma"))) void ContributionEpaDoubleAvx2(
     const ShardKernelView& v, const double* qb, double* contrib,
     std::size_t begin, std::size_t end) {
   const std::size_t d = v.d;
-  const std::size_t stride = v.soa_stride;
+  const std::size_t stride = v.stride;
   double inv_d[kMaxDims];
   for (std::size_t j = 0; j < d; ++j) inv_d[j] = 1.0 / v.h[j];
   const __m256d one = _mm256_set1_pd(1.0);
@@ -527,7 +408,7 @@ __attribute__((target("avx2,fma"))) void ContributionEpaDoubleAvx2(
     __m256d prod = one;
     for (std::size_t j = 0; j < d; ++j) {
       const __m256d t =
-          _mm256_cvtps_pd(_mm_loadu_ps(v.soa + j * stride + i));
+          _mm256_cvtps_pd(_mm_loadu_ps(v.sample + j * stride + i));
       __m256d inv = _mm256_set1_pd(inv_d[j]);
       if (v.scales != nullptr) inv = _mm256_mul_pd(inv, rcp);
       const __m256d zu = _mm256_mul_pd(
@@ -538,10 +419,7 @@ __attribute__((target("avx2,fma"))) void ContributionEpaDoubleAvx2(
     }
     _mm256_storeu_pd(contrib + i, prod);
   }
-  if (i < end) {
-    ShardKernelView tail = v;
-    ContributionDoubleSoa(tail, qb, contrib, i, end);
-  }
+  if (i < end) ScalarContribution(v, qb, contrib, i, end);
 }
 
 #endif  // FKDE_KB_X86
@@ -551,24 +429,18 @@ __attribute__((target("avx2,fma"))) void ContributionEpaDoubleAvx2(
 FKDE_HOT void FusedContribution(const ShardKernelView& view,
                                 const double* qb, double* contrib,
                                 std::size_t begin, std::size_t end) {
-  if (view.backend == KernelBackend::kSimd && view.soa != nullptr) {
 #if defined(FKDE_KB_X86)
-    if (CpuSupportsSimd()) {
-      if (view.precision == KernelPrecision::kFloat) {
-        ContributionFloatAvx2(view, qb, contrib, begin, end);
-        return;
-      }
-      if (view.kernel == KernelType::kEpanechnikov) {
-        ContributionEpaDoubleAvx2(view, qb, contrib, begin, end);
-        return;
-      }
+  if (view.backend == KernelBackend::kSimd && CpuSupportsSimd()) {
+    if (view.precision == KernelPrecision::kFloat) {
+      ContributionFloatAvx2(view, qb, contrib, begin, end);
+      return;
     }
-#endif
-    // Gaussian double lanes (or no AVX2): hoisted scalar math over the
-    // SoA strips.
-    ContributionDoubleSoa(view, qb, contrib, begin, end);
-    return;
+    if (view.kernel == KernelType::kEpanechnikov) {
+      ContributionEpaDoubleAvx2(view, qb, contrib, begin, end);
+      return;
+    }
   }
+#endif
   ScalarContribution(view, qb, contrib, begin, end);
 }
 
@@ -576,29 +448,33 @@ FKDE_HOT void FusedContributionGrad(const ShardKernelView& view,
                                     const double* qb, double* contrib,
                                     double* partials, std::size_t row_pitch,
                                     std::size_t begin, std::size_t end) {
-  if (view.backend == KernelBackend::kSimd && view.soa != nullptr) {
 #if defined(FKDE_KB_X86)
-    if (CpuSupportsSimd() && view.precision == KernelPrecision::kFloat) {
-      ContributionGradFloatAvx2(view, qb, contrib, partials, row_pitch,
-                                begin, end);
-      return;
-    }
-#endif
-    ContributionGradDoubleSoa(view, qb, contrib, partials, row_pitch, begin,
+  if (view.backend == KernelBackend::kSimd && CpuSupportsSimd() &&
+      view.precision == KernelPrecision::kFloat) {
+    ContributionGradFloatAvx2(view, qb, contrib, partials, row_pitch, begin,
                               end);
     return;
   }
+#endif
   ScalarContributionGrad(view, qb, contrib, partials, row_pitch, begin, end);
 }
 
+/// Dimension outside, point inside: every load and store is a sequential
+/// stream. Pure widen-then-double math, so results are backend- and
+/// precision-independent.
 FKDE_HOT void Moments(const ShardKernelView& view, double* out,
                       std::size_t rows, std::size_t begin,
                       std::size_t end) {
-  if (view.backend == KernelBackend::kSimd && view.soa != nullptr) {
-    MomentsSoa(view, out, rows, begin, end);
-    return;
+  for (std::size_t dim = 0; dim < view.d; ++dim) {
+    const float* strip = view.sample + dim * view.stride;
+    double* first = out + (2 * dim) * rows;
+    double* second = out + (2 * dim + 1) * rows;
+    for (std::size_t i = begin; i < end; ++i) {
+      const double val = static_cast<double>(strip[i]);
+      first[i] = val;
+      second[i] = val * val;
+    }
   }
-  ScalarMoments(view, out, rows, begin, end);
 }
 
 double MeasureFusedContributionThroughput(KernelBackend backend,
@@ -614,11 +490,11 @@ double MeasureFusedContributionThroughput(KernelBackend backend,
     return static_cast<double>(state >> 11) *
            (1.0 / 9007199254740992.0);
   };
-  std::vector<float> aos(rows * d);
-  for (float& x : aos) x = static_cast<float>(next_unit());
-  std::vector<float> soa(rows * d);
+  std::vector<float> strips(rows * d);
   for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = 0; j < d; ++j) soa[j * rows + i] = aos[i * d + j];
+    for (std::size_t j = 0; j < d; ++j) {
+      strips[j * rows + i] = static_cast<float>(next_unit());
+    }
   }
   std::vector<double> h(d, 0.12);
   std::vector<double> qb(2 * d);
@@ -633,9 +509,8 @@ double MeasureFusedContributionThroughput(KernelBackend backend,
   view.precision = ResolveKernelPrecision(precision);
   view.kernel = kernel;
   view.d = d;
-  view.aos = aos.data();
-  view.soa = soa.data();
-  view.soa_stride = rows;
+  view.sample = strips.data();
+  view.stride = rows;
   view.h = h.data();
 
   FusedContribution(view, qb.data(), contrib.data(), 0, rows);  // Warm-up.

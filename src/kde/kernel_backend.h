@@ -4,23 +4,24 @@
 /// Every KDE hot path runs one of three fused per-point loops inside a
 /// kernel body: the contribution kernel (eq. 13 product of per-dimension
 /// CDF differences), the fused contribution+gradient kernel (eq. 17 via
-/// prefix/suffix products), and the Scott moments kernel. This layer
-/// provides those loops in two backends behind one call signature, so the
-/// engine's `EnqueueLaunch` bodies are thin dispatchers:
+/// prefix/suffix products), and the Scott moments kernel. All of them
+/// read the sample in its one device layout, dim-major strips
+/// (`sample[j * stride + i]`, see sample.h). This layer provides those
+/// loops in two backends behind one call signature, so the engine's
+/// `EnqueueLaunch` bodies are thin dispatchers:
 ///
-///  * **scalar** — the seed's per-point loops over `kernel::CdfDiff*`,
-///    reading the row-major (AoS) sample. With the per-(query, dim)
-///    reciprocals hoisted by `kernel::HoistFactors` the math is
-///    bitwise-identical to the pre-backend engine.
-///  * **simd** — explicitly vectorized AVX2 loops reading a
-///    structure-of-arrays (SoA) view of the shard (see
-///    `DeviceSample::EnableSoaMirror`), so each lane load is a contiguous
-///    per-dimension strip. 8-wide float lanes in `kFloat` precision with
-///    the polynomial `ErfApproxF`/`ExpApproxF` math of kernels.h; 4-wide
-///    double lanes in `kDouble` precision (the Gaussian double path calls
-///    libm `erf`/`exp` per lane — there is no vector libm to lean on —
-///    so it gains from the SoA strips and hoisting only, while the
-///    Epanechnikov double path vectorizes fully).
+///  * **scalar** — the seed's per-point loops over `kernel::CdfDiff*`.
+///    With the per-(query, dim) reciprocals hoisted by
+///    `kernel::HoistFactors` the math is bitwise-identical to the
+///    pre-backend engine. Also the fallback of every simd body the CPU
+///    or the precision cannot vectorize.
+///  * **simd** — explicitly vectorized AVX2 loops, each lane load a
+///    contiguous run of one strip. 8-wide float lanes in `kFloat`
+///    precision with the polynomial `ErfApproxF`/`ExpApproxF` math of
+///    kernels.h; 4-wide double lanes for the Epanechnikov contribution in
+///    `kDouble` precision. The other double paths run the scalar body:
+///    the Gaussian needs libm `erf`/`exp` per lane, and there is no
+///    vector libm to lean on.
 ///
 /// ## Precision contract
 ///
@@ -70,13 +71,10 @@ struct ShardKernelView {
   KernelPrecision precision = KernelPrecision::kDouble;
   KernelType kernel = KernelType::kGaussian;
   std::size_t d = 0;
-  /// Row-major sample storage (rows*d floats) — the scalar backend's
-  /// input.
-  const float* aos = nullptr;
-  /// Dim-major SoA strips (`soa[j * soa_stride + i]`) — the simd
-  /// backend's input; nullptr for scalar shards.
-  const float* soa = nullptr;
-  std::size_t soa_stride = 0;
+  /// Dim-major sample strips: coordinate j of point i at
+  /// `sample[j * stride + i]`.
+  const float* sample = nullptr;
+  std::size_t stride = 0;
   /// Device-resident diagonal bandwidth (d doubles).
   const double* h = nullptr;
   /// Per-point bandwidth scales (variable KDE), or nullptr. Scales defeat

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -78,32 +77,48 @@ std::vector<std::size_t> DeviceSample::Apportion(
   return sizes;
 }
 
-void DeviceSample::UploadPartitioned(const std::vector<float>& staging,
-                                     std::size_t rows) {
+std::vector<std::vector<std::uint32_t>> DeviceSample::InitialLayout(
+    std::size_t rows) const {
   const std::vector<double> weights =
       group_ ? group_->InitialWeights() : std::vector<double>{1.0};
   const std::vector<std::size_t> sizes = Apportion(rows, weights);
+  std::vector<std::vector<std::uint32_t>> layout(shards_.size());
+  std::uint32_t next_row = 0;
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    layout[i].resize(sizes[i]);
+    std::iota(layout[i].begin(), layout[i].end(), next_row);
+    next_row += static_cast<std::uint32_t>(sizes[i]);
+  }
+  return layout;
+}
+
+template <typename ValueFn>
+void DeviceSample::UploadLayout(
+    std::size_t rows,
+    const std::vector<std::vector<std::uint32_t>>& shard_slots,
+    ValueFn value) {
   slot_map_.assign(rows, {0, 0});
-  std::size_t next_row = 0;
+  std::vector<float> staging;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& shard = shards_[i];
-    shard.size = sizes[i];
-    shard.global_ids.resize(shard.size);
+    shard.size = shard_slots[i].size();
+    shard.global_ids.assign(shard_slots[i].begin(), shard_slots[i].end());
+    // Stage the shard's rows as packed strips; the rect transfer spreads
+    // them at the device's capacity pitch.
+    staging.resize(shard.size * dims_);
     for (std::size_t local = 0; local < shard.size; ++local) {
-      const std::size_t global = next_row + local;
-      shard.global_ids[local] = static_cast<std::uint32_t>(global);
+      const std::size_t global = shard.global_ids[local];
       slot_map_[global] = {static_cast<std::uint32_t>(i),
                            static_cast<std::uint32_t>(local)};
+      for (std::size_t j = 0; j < dims_; ++j) {
+        staging[j * shard.size + local] = value(global, j);
+      }
     }
     // Transfers auto-declare their device-side access-sets (see
     // command_queue.h), so the sample's upload/gather/migration traffic
     // is hazard-checked without explicit declarations here.
-    shard.device->CopyToDevice(staging.data() + next_row * dims_,
-                               shard.size * dims_, &shard.buffer);
-    next_row += shard.size;
-    // A bulk upload invalidates the whole SoA mirror.
-    shard.soa_full_dirty = !shard.soa.empty();
-    shard.soa_dirty_rows.clear();
+    shard.device->CopyRectToDevice(staging.data(), shard.size, dims_,
+                                   capacity_, &shard.buffer);
   }
   size_ = rows;
 }
@@ -120,31 +135,16 @@ Status DeviceSample::LoadFromTable(const Table& table, Rng* rng) {
   // Stage on the host (with double->float conversion, mirroring the
   // paper's type transformation during ANALYZE), then one bulk transfer
   // per shard.
-  std::vector<float> staging(rows.size() * dims_);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto row = table.Row(rows[i]);
-    for (std::size_t j = 0; j < dims_; ++j) {
-      staging[i * dims_ + j] = static_cast<float>(row[j]);
-    }
-  }
-  UploadPartitioned(staging, rows.size());
+  UploadLayout(rows.size(), InitialLayout(rows.size()),
+               [&](std::size_t global, std::size_t j) {
+                 return static_cast<float>(table.Row(rows[global])[j]);
+               });
   return Status::OK();
 }
 
 Status DeviceSample::LoadRows(std::span<const double> rows_data,
                               std::size_t rows) {
-  if (rows_data.size() != rows * dims_) {
-    return Status::InvalidArgument("row data size mismatch");
-  }
-  if (rows > capacity_) {
-    return Status::InvalidArgument("more rows than sample capacity");
-  }
-  std::vector<float> staging(rows_data.size());
-  for (std::size_t i = 0; i < rows_data.size(); ++i) {
-    staging[i] = static_cast<float>(rows_data[i]);
-  }
-  UploadPartitioned(staging, rows);
-  return Status::OK();
+  return LoadShardLayout(rows_data, rows, InitialLayout(rows));
 }
 
 Status DeviceSample::LoadShardLayout(
@@ -175,31 +175,9 @@ Status DeviceSample::LoadShardLayout(
   if (total != rows) {
     return Status::InvalidArgument("shard layout row count mismatch");
   }
-
-  slot_map_.assign(rows, {0, 0});
-  std::vector<float> staging;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& shard = shards_[i];
-    shard.size = shard_slots[i].size();
-    shard.global_ids.assign(shard_slots[i].begin(), shard_slots[i].end());
-    staging.resize(shard.size * dims_);
-    for (std::size_t local = 0; local < shard.size; ++local) {
-      const std::size_t global = shard.global_ids[local];
-      slot_map_[global] = {static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(local)};
-      for (std::size_t j = 0; j < dims_; ++j) {
-        staging[local * dims_ + j] =
-            static_cast<float>(rows_data[global * dims_ + j]);
-      }
-    }
-    if (shard.size > 0) {
-      shard.device->CopyToDevice(staging.data(), shard.size * dims_,
-                                 &shard.buffer);
-    }
-    shard.soa_full_dirty = !shard.soa.empty();
-    shard.soa_dirty_rows.clear();
-  }
-  size_ = rows;
+  UploadLayout(rows, shard_slots, [&](std::size_t global, std::size_t j) {
+    return static_cast<float>(rows_data[global * dims_ + j]);
+  });
   return Status::OK();
 }
 
@@ -230,90 +208,18 @@ void DeviceSample::ReplaceRow(std::size_t slot, std::span<const double> row) {
   for (std::size_t j = 0; j < dims_; ++j) {
     staging[j] = static_cast<float>(row[j]);
   }
+  // One d-float transfer: one element into each strip.
   const auto [shard, local] = slot_map_[slot];
-  shards_[shard].device->CopyToDevice(staging, dims_, &shards_[shard].buffer,
-                                      local * dims_);
-  MarkSoaDirty(shard, local, 1);
-}
-
-void DeviceSample::EnableSoaMirror(std::size_t shard) {
-  Shard& sh = shards_[shard];
-  if (!sh.soa.empty()) return;
-  sh.soa = sh.device->CreateBuffer<float>(capacity_ * dims_);
-  sh.soa_full_dirty = true;
-  sh.soa_dirty_rows.clear();
-}
-
-void DeviceSample::MarkSoaDirty(std::size_t shard, std::size_t first,
-                                std::size_t count) {
-  Shard& sh = shards_[shard];
-  if (sh.soa.empty() || sh.soa_full_dirty || count == 0) return;
-  if (sh.soa_dirty_rows.size() + count > sh.size / 4) {
-    // Past a quarter of the shard the full transpose streams better than
-    // a scatter (and keeps the dirty list bounded).
-    sh.soa_full_dirty = true;
-    sh.soa_dirty_rows.clear();
-    return;
-  }
-  for (std::size_t k = 0; k < count; ++k) {
-    sh.soa_dirty_rows.push_back(static_cast<std::uint32_t>(first + k));
-  }
-}
-
-void DeviceSample::EnsureSoaCurrent(std::size_t shard) {
-  Shard& sh = shards_[shard];
-  if (sh.soa.empty()) return;
-  if (!sh.soa_full_dirty && sh.soa_dirty_rows.empty()) return;
-  const std::size_t rows = sh.size;
-  if (rows == 0) {
-    sh.soa_full_dirty = false;
-    sh.soa_dirty_rows.clear();
-    return;
-  }
-  const std::size_t d = dims_;
-  const std::size_t stride = capacity_;
-  const float* aos = sh.buffer.device_data();
-  float* soa = sh.soa.device_data();
-  if (sh.soa_full_dirty) {
-    const BufferAccess acc[] = {Reads(sh.buffer, 0, rows * d),
-                                Writes(sh.soa)};
-    sh.device->default_queue()->EnqueueLaunch(
-        "sample_soa_pack", rows, static_cast<double>(d),
-        [aos, soa, d, stride](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            for (std::size_t j = 0; j < d; ++j) {
-              soa[j * stride + i] = aos[i * d + j];
-            }
-          }
-        },
-        acc);
-  } else {
-    const auto dirty = std::make_shared<std::vector<std::uint32_t>>(
-        std::move(sh.soa_dirty_rows));
-    const BufferAccess acc[] = {Reads(sh.buffer, 0, rows * d),
-                                Writes(sh.soa)};
-    sh.device->default_queue()->EnqueueLaunch(
-        "sample_soa_scatter", dirty->size(), static_cast<double>(d),
-        [aos, soa, d, stride, dirty](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const std::size_t i = (*dirty)[k];
-            for (std::size_t j = 0; j < d; ++j) {
-              soa[j * stride + i] = aos[i * d + j];
-            }
-          }
-        },
-        acc);
-  }
-  sh.soa_full_dirty = false;
-  sh.soa_dirty_rows.clear();
+  shards_[shard].device->CopyRectToDevice(staging, 1, dims_, capacity_,
+                                          &shards_[shard].buffer, local);
 }
 
 std::vector<double> DeviceSample::ReadRow(std::size_t slot) {
   FKDE_CHECK(slot < size_);
   const auto [shard, local] = slot_map_[slot];
   std::vector<float> staging(dims_);
-  shards_[shard].device->CopyToHost(shards_[shard].buffer, local * dims_,
-                                    dims_, staging.data());
+  shards_[shard].device->CopyRectToHost(shards_[shard].buffer, local, 1,
+                                        dims_, capacity_, staging.data());
   return std::vector<double>(staging.begin(), staging.end());
 }
 
@@ -323,13 +229,13 @@ std::vector<double> DeviceSample::GatherRows() {
   for (const Shard& shard : shards_) {
     if (shard.size == 0) continue;
     staging.resize(shard.size * dims_);
-    shard.device->CopyToHost(shard.buffer, 0, shard.size * dims_,
-                             staging.data());
+    shard.device->CopyRectToHost(shard.buffer, 0, shard.size, dims_,
+                                 capacity_, staging.data());
     for (std::size_t local = 0; local < shard.size; ++local) {
       const std::size_t global = shard.global_ids[local];
       for (std::size_t j = 0; j < dims_; ++j) {
         rows[global * dims_ + j] =
-            static_cast<double>(staging[local * dims_ + j]);
+            static_cast<double>(staging[j * shard.size + local]);
       }
     }
   }
@@ -422,14 +328,15 @@ void DeviceSample::MigrateRows(std::size_t from, std::size_t to,
   FKDE_CHECK(count > 0 && count <= donor.size);
   FKDE_CHECK(receiver.size + count <= capacity_);
   // Ordinary metered transfers: donor tail read-back, receiver tail
-  // upload. The blocking read-back drains any work still enqueued on the
-  // donor; the upload lands beyond the receiver's live range, so its
-  // in-order queue needs no extra synchronization.
+  // upload, each one rect transfer over the strips. The blocking
+  // read-back drains any work still enqueued on the donor; the upload
+  // lands beyond the receiver's live range, so its in-order queue needs
+  // no extra synchronization.
   std::vector<float> staging(count * dims_);
-  donor.device->CopyToHost(donor.buffer, (donor.size - count) * dims_,
-                           count * dims_, staging.data());
-  receiver.device->CopyToDevice(staging.data(), count * dims_,
-                                &receiver.buffer, receiver.size * dims_);
+  donor.device->CopyRectToHost(donor.buffer, donor.size - count, count, dims_,
+                               capacity_, staging.data());
+  receiver.device->CopyRectToDevice(staging.data(), count, dims_, capacity_,
+                                    &receiver.buffer, receiver.size);
   for (std::size_t j = 0; j < count; ++j) {
     const std::uint32_t global = donor.global_ids[donor.size - count + j];
     slot_map_[global] = {static_cast<std::uint32_t>(to),
@@ -440,9 +347,6 @@ void DeviceSample::MigrateRows(std::size_t from, std::size_t to,
   donor.size -= count;
   receiver.size += count;
   rows_migrated_ += count;
-  // The receiver's new tail is stale in its SoA mirror; the donor only
-  // shrank, so its strips stay valid for the surviving rows.
-  MarkSoaDirty(to, receiver.size - count, count);
 }
 
 std::vector<std::size_t> DeviceSample::shard_sizes() const {

@@ -2,15 +2,23 @@
 /// \brief Device-resident data sample (paper Section 5.1/5.2), optionally
 /// sharded across a `DeviceGroup`.
 ///
-/// The sample is the memory-dominant part of a KDE model. Matching the
-/// paper, it is stored *row-major in single precision* on the device: the
-/// row-major layout lets sample maintenance replace one point with a
-/// single PCI-Express transfer of d floats, which is the whole reason the
-/// Karma scheme is transfer-efficient.
+/// The sample is the memory-dominant part of a KDE model, stored in
+/// single precision on the device. Every shard holds its rows in one
+/// layout: dim-major strips, coordinate j of local row i at
+/// `x[j * stride() + i]`, with the strip pitch fixed at the full
+/// capacity so rebalancing never restructures strips. The kernels read
+/// each dimension as one contiguous strip (the 8-wide AVX2 lanes load
+/// eight points per instruction), and sample maintenance still replaces
+/// one point with a single d-float transfer: the paper's row-major
+/// layout exists for exactly that, and a rectangular copy
+/// (`Device::CopyRectToDevice`, OpenCL's `clEnqueueWriteBufferRect`)
+/// keeps it with the row scattered across the strips.
 ///
 /// Loading the sample at ANALYZE time is the only bulk transfer the
 /// estimator ever performs; everything afterwards is query bounds,
-/// scalars, and replaced rows.
+/// scalars, and replaced rows. The host transposes its row-major staging
+/// to and from strips, so every load, gather and migration moves the
+/// same bytes in the same number of transfers as a row-major layout.
 ///
 /// ## Sharding (Section 5.4 past one device's ceiling)
 ///
@@ -30,19 +38,6 @@
 /// stays honest. Each migration bumps `migration_epoch()`; consumers
 /// caching per-slot device state (Karma bitmaps, point scales) must
 /// refresh when the epoch moves.
-///
-/// ## SoA mirror (simd kernel backend)
-///
-/// The canonical storage stays row-major (AoS) — that is what keeps
-/// maintenance a d-float transfer. Shards feeding a simd-backend device
-/// additionally keep a device-resident structure-of-arrays mirror
-/// (`soa[j * soa_stride() + i]`), opted into per shard via
-/// `EnableSoaMirror`, so 8-wide lanes load contiguous per-dimension
-/// strips. The mirror is maintained lazily: maintenance marks rows dirty
-/// and `EnsureSoaCurrent` (engine-called before each pass enqueues on the
-/// shard) repacks them with an ordinary metered kernel — a full
-/// transpose (`sample_soa_pack`) after bulk loads or heavy churn, a
-/// dirty-row scatter (`sample_soa_scatter`) after point replacements.
 
 #ifndef FKDE_KDE_SAMPLE_H_
 #define FKDE_KDE_SAMPLE_H_
@@ -129,8 +124,9 @@ class DeviceSample {
   std::size_t shard_size(std::size_t shard) const {
     return shards_[shard].size;
   }
-  /// Device storage of one shard (shard_size * dims live floats,
-  /// row-major). For kernel functors.
+  /// Device storage of one shard: dim-major strips, coordinate j of
+  /// local row i at `[j * stride() + i]` (shard_size live rows per
+  /// strip). For kernel functors.
   const DeviceBuffer<float>& shard_buffer(std::size_t shard) const {
     return shards_[shard].buffer;
   }
@@ -138,30 +134,9 @@ class DeviceSample {
   /// Shard-0 storage — the whole sample for single-shard callers.
   const DeviceBuffer<float>& buffer() const { return shards_[0].buffer; }
 
-  /// Allocates the dim-major SoA mirror for `shard` (capacity * dims
-  /// floats) and marks it fully dirty. Idempotent. Called by the engine
-  /// for shards whose device profile selects the simd kernel backend.
-  void EnableSoaMirror(std::size_t shard);
-
-  bool soa_enabled(std::size_t shard) const {
-    return !shards_[shard].soa.empty();
-  }
-
-  /// Dim-major mirror of one shard (`soa[j * soa_stride() + i]` for local
-  /// row i). Valid only after `EnableSoaMirror`; strips are current only
-  /// after `EnsureSoaCurrent`.
-  const DeviceBuffer<float>& shard_soa(std::size_t shard) const {
-    return shards_[shard].soa;
-  }
-
-  /// Strip pitch of every SoA mirror. Full capacity, so rebalancing never
-  /// restructures strips — migrated rows land as dirty tail entries.
-  std::size_t soa_stride() const { return capacity_; }
-
-  /// Repacks the shard's dirty rows into its SoA mirror with a metered
-  /// kernel launch (no-op when the mirror is absent or clean). Engine-
-  /// called before enqueuing simd-backend work on the shard.
-  void EnsureSoaCurrent(std::size_t shard);
+  /// Strip pitch of every shard, in elements: the full capacity, so
+  /// rebalancing never restructures strips.
+  std::size_t stride() const { return capacity_; }
 
   /// Global slot currently held by local row `local` of `shard`.
   std::size_t GlobalSlot(std::size_t shard, std::size_t local) const {
@@ -223,27 +198,25 @@ class DeviceSample {
     std::vector<std::uint32_t> global_ids;
     /// Throughput EWMA, rows/busy-second; 0 = unmeasured.
     double rate_ewma = 0.0;
-    /// Dim-major SoA mirror (capacity * dims floats); empty unless
-    /// `EnableSoaMirror` opted this shard in.
-    DeviceBuffer<float> soa;
-    /// Mirror staleness: full rebuild pending, or individual dirty local
-    /// rows (ignored while soa_full_dirty is set).
-    bool soa_full_dirty = false;
-    std::vector<std::uint32_t> soa_dirty_rows;
   };
-
-  /// Marks local rows [first, first + count) of `shard` stale in its SoA
-  /// mirror (no-op when the mirror is absent). Escalates to a full
-  /// rebuild when the dirty list outgrows a quarter of the shard.
-  void MarkSoaDirty(std::size_t shard, std::size_t first, std::size_t count);
 
   /// Splits `rows` into per-shard targets proportional to `weights`
   /// (largest-remainder rounding, then a min_shard_rows floor).
   std::vector<std::size_t> Apportion(std::size_t rows,
                                      const std::vector<double>& weights) const;
 
-  /// Uploads staged floats split by `targets` and rebuilds the slot map.
-  void UploadPartitioned(const std::vector<float>& staging, std::size_t rows);
+  /// The initial layout of `rows` rows: contiguous global-slot runs sized
+  /// by the group's initial weights.
+  std::vector<std::vector<std::uint32_t>> InitialLayout(
+      std::size_t rows) const;
+
+  /// Installs `shard_slots` as the layout and uploads every shard's
+  /// strips in one transfer, staging coordinate j of global slot g as
+  /// `value(g, j)`.
+  template <typename ValueFn>
+  void UploadLayout(std::size_t rows,
+                    const std::vector<std::vector<std::uint32_t>>& shard_slots,
+                    ValueFn value);
 
   /// Moves the last `count` rows of shard `from` to the end of shard `to`
   /// through metered transfers, updating the slot map.

@@ -22,17 +22,23 @@ Result<std::vector<double>> ComputeVariableScales(
   // sample, gather the rows once onto the primary device (construction
   // time only — never the per-query path); the global-order copy also
   // makes the returned scales global-slot indexed, as SetPointScales
-  // expects. Single-shard samples use their buffer directly.
+  // expects. Single-shard samples use their buffer directly. Both read
+  // dim-major strips: coordinate j of point i at data[j * stride + i].
   DeviceBuffer<float> gathered;
-  const DeviceBuffer<float>* points;
+  const DeviceBuffer<float>* points = &engine->sample()->buffer();
+  std::size_t stride = engine->sample()->stride();
   if (engine->sample()->num_shards() > 1) {
     const std::vector<double> rows = engine->sample()->GatherRows();
-    std::vector<float> staging(rows.begin(), rows.end());
+    std::vector<float> staging(rows.size());
+    for (std::size_t i = 0; i < s; ++i) {
+      for (std::size_t j = 0; j < d; ++j) {
+        staging[j * s + i] = static_cast<float>(rows[i * d + j]);
+      }
+    }
     gathered = device->CreateBuffer<float>(staging.size());
     device->CopyToDevice(staging.data(), staging.size(), &gathered);
     points = &gathered;
-  } else {
-    points = &engine->sample()->buffer();
+    stride = s;
   }
   const float* data = points->device_data();
   const std::vector<double>& h = engine->bandwidth();
@@ -53,22 +59,21 @@ Result<std::vector<double>> ComputeVariableScales(
     const double inv_h0 = inv_h[0];  // Silence unused in 1D fast path.
     (void)inv_h0;
     std::vector<double> inv_h_vec(inv_h, inv_h + d);
-    const BufferAccess acc[] = {Reads(*points, 0, s * d),
+    const BufferAccess acc[] = {Reads(*points, 0, s, stride, d),
                                 Writes(densities, 0, s)};
     device->Launch(
         "variable_pilot_density", s, static_cast<double>(s * d) / 256.0,
-        [out, data, s, d, norm, inv_h_vec](std::size_t begin,
-                                           std::size_t end) {
+        [out, data, stride, s, d, norm, inv_h_vec](std::size_t begin,
+                                                   std::size_t end) {
           for (std::size_t i = begin; i < end; ++i) {
-            const float* xi = data + i * d;
             double total = 0.0;
             for (std::size_t k = 0; k < s; ++k) {
               if (k == i) continue;  // Leave-one-out.
-              const float* xk = data + k * d;
               double exponent = 0.0;
               for (std::size_t j = 0; j < d; ++j) {
-                const double z = (static_cast<double>(xi[j]) -
-                                  static_cast<double>(xk[j])) *
+                const float* strip = data + j * stride;
+                const double z = (static_cast<double>(strip[i]) -
+                                  static_cast<double>(strip[k])) *
                                  inv_h_vec[j];
                 exponent += z * z;
               }

@@ -12,6 +12,11 @@ namespace fkde {
 
 namespace internal {
 
+void EventState::MarkExecuted() {
+  std::lock_guard<std::mutex> lock(mu);
+  executed = true;
+}
+
 void EventState::MarkComplete() {
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -100,13 +105,20 @@ Event CommandQueue::EnqueueLaunch(
               accesses, wait_list);
 }
 
-Event CommandQueue::EnqueueCopyBytes(void* dst, const void* src,
-                                     std::size_t bytes, bool to_device,
+Event CommandQueue::EnqueueCopyBytes(void* dst, std::size_t dst_pitch,
+                                     const void* src, std::size_t src_pitch,
+                                     std::size_t run_bytes, std::size_t runs,
+                                     bool to_device,
                                      const BufferAccess& device_access,
                                      std::span<const Event> wait_list) {
-  const double end =
-      device_->BookTransfer(bytes, to_device, MaxModeledEnd(wait_list));
-  auto run = [dst, src, bytes] { std::memcpy(dst, src, bytes); };
+  const double end = device_->BookTransfer(run_bytes * runs, to_device,
+                                           MaxModeledEnd(wait_list));
+  auto run = [dst, dst_pitch, src, src_pitch, run_bytes, runs] {
+    for (std::size_t k = 0; k < runs; ++k) {
+      std::memcpy(static_cast<char*>(dst) + k * dst_pitch,
+                  static_cast<const char*>(src) + k * src_pitch, run_bytes);
+    }
+  };
   return Push(std::move(run), end,
               to_device ? CommandKind::kCopyToDevice
                         : CommandKind::kCopyToHost,
@@ -190,7 +202,9 @@ void CommandQueue::DispatchLoop() {
     // Drop the closure before completion becomes observable: captured
     // resources (scratch handles parking back into the pool) must be
     // released by the time a host Wait()/Finish() returns, not when the
-    // dispatcher happens to reach the next iteration.
+    // dispatcher happens to reach the next iteration. The body has
+    // returned, so the command no longer touches what it releases.
+    command.done->MarkExecuted();
     command.run = nullptr;
     command.done->MarkComplete();
   }

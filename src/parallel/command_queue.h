@@ -94,13 +94,17 @@ enum class AccessMode : std::uint8_t { kRead, kWrite, kReadWrite };
 /// \brief One declared buffer access of an enqueued command: the byte
 /// range `[offset_bytes, offset_bytes + length_bytes)` of the registered
 /// device buffer `buffer_id` (see `DeviceBuffer::buffer_id()`), touched
-/// with `mode`. Built via the typed `Reads`/`Writes`/`ReadsWrites`
-/// helpers in device.h rather than by hand.
+/// with `mode`. A strided access repeats that range `runs` times,
+/// `pitch_bytes` apart (a rectangular copy, or a kernel reading the live
+/// prefix of every dim-major strip). Built via the typed `Reads`/
+/// `Writes`/`ReadsWrites` helpers in device.h rather than by hand.
 struct BufferAccess {
   std::uint64_t buffer_id = 0;
   std::size_t offset_bytes = 0;
   std::size_t length_bytes = 0;
   AccessMode mode = AccessMode::kRead;
+  std::size_t pitch_bytes = 0;
+  std::size_t runs = 1;
 };
 
 /// \brief Hazard-checking mode of a device (see hazard_checker.h).
@@ -131,13 +135,17 @@ struct CommandQueueStats {
 namespace internal {
 
 /// Shared completion state of one enqueued command. Everything except
-/// `complete` is written once at enqueue time (before the state is
-/// shared with the dispatcher); `complete` is the only cross-thread
-/// field.
+/// `executed` and `complete` is written once at enqueue time (before the
+/// state is shared with the dispatcher); those two are the only
+/// cross-thread fields.
 struct EventState {
   std::mutex mu;
   std::condition_variable cv;
   bool complete = false;
+  /// The body returned; set just before the dispatcher releases the
+  /// command's captured resources, so releases during that teardown do
+  /// not count the command as still touching them. Guarded by `mu`.
+  bool executed = false;
   double modeled_end_s = 0.0;  ///< Absolute device-timeline completion.
   Device* device = nullptr;
   std::uint64_t queue_id = 0;     ///< Owning queue (process-unique).
@@ -148,6 +156,7 @@ struct EventState {
   /// attached (empty otherwise).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> hazard_clock;
 
+  void MarkExecuted();
   void MarkComplete();
   /// Blocks until the command really finished, without touching the
   /// modeled clocks (used by the dispatcher for wait-list dependencies,
@@ -243,6 +252,24 @@ class CommandQueue {
                           std::size_t n, T* host,
                           std::span<const Event> wait_list = {});
 
+  /// Rectangular transfers (OpenCL's `clEnqueueWriteBufferRect` /
+  /// `clEnqueueReadBufferRect`): `strips` runs of `n` elements, packed
+  /// back to back on the host (run k at `host + k * n`) and `pitch`
+  /// elements apart on the device from element `offset` on. Metered and
+  /// charged as ONE transfer of `strips * n` elements — exactly what a
+  /// contiguous copy of that size costs. The contiguous copies above are
+  /// the one-strip case.
+  template <typename T>
+  Event EnqueueCopyRectToDevice(const T* host, std::size_t n,
+                                std::size_t strips, std::size_t pitch,
+                                DeviceBuffer<T>* dst, std::size_t offset = 0,
+                                std::span<const Event> wait_list = {});
+  template <typename T>
+  Event EnqueueCopyRectToHost(const DeviceBuffer<T>& src, std::size_t offset,
+                              std::size_t n, std::size_t strips,
+                              std::size_t pitch, T* host,
+                              std::span<const Event> wait_list = {});
+
   /// Blocks until every command enqueued so far has completed, and
   /// advances the host modeled clock past the last of them.
   void Finish();
@@ -260,11 +287,15 @@ class CommandQueue {
   /// Largest modeled end among the wait-list events.
   static double MaxModeledEnd(std::span<const Event> wait_list);
 
-  /// Type-erased transfer enqueue shared by both copy directions.
-  /// `device_access` names the device-buffer side of the transfer (the
-  /// host side is untracked staging memory).
-  Event EnqueueCopyBytes(void* dst, const void* src, std::size_t bytes,
-                         bool to_device, const BufferAccess& device_access,
+  /// Type-erased transfer enqueue shared by every copy: `runs` runs of
+  /// `run_bytes`, run k moved from `src + k * src_pitch` to
+  /// `dst + k * dst_pitch` (bytes), booked as one transfer of
+  /// `runs * run_bytes`. `device_access` names the device-buffer side of
+  /// the transfer (the host side is untracked staging memory).
+  Event EnqueueCopyBytes(void* dst, std::size_t dst_pitch, const void* src,
+                         std::size_t src_pitch, std::size_t run_bytes,
+                         std::size_t runs, bool to_device,
+                         const BufferAccess& device_access,
                          std::span<const Event> wait_list);
 
   Event Push(std::function<void()> run, double modeled_end_s,

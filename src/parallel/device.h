@@ -195,39 +195,47 @@ namespace internal {
 
 template <typename T>
 BufferAccess MakeAccess(const DeviceBuffer<T>& buffer, AccessMode mode,
-                        std::size_t offset, std::size_t n) {
+                        std::size_t offset, std::size_t n, std::size_t pitch,
+                        std::size_t strips) {
   if (n == kWholeBuffer) {
     n = buffer.size() - std::min(offset, buffer.size());
   }
-  FKDE_CHECK_MSG(offset + n <= buffer.size(),
-                 "declared buffer access out of bounds");
+  FKDE_CHECK_MSG(
+      strips > 0 && offset + (strips - 1) * pitch + n <= buffer.size(),
+      "declared buffer access out of bounds");
   return BufferAccess{buffer.buffer_id(), offset * sizeof(T), n * sizeof(T),
-                      mode};
+                      mode, pitch * sizeof(T), strips};
 }
 
 }  // namespace internal
 
 /// Access-set builders for kernel launches: the byte range covering `n`
-/// elements starting at element `offset` (defaults: the whole buffer).
+/// elements starting at element `offset` (defaults: the whole buffer),
+/// repeated `strips` times `pitch` elements apart for strided layouts.
 /// Example:
-///   const BufferAccess acc[] = {Reads(sample), Writes(contributions)};
+///   const BufferAccess acc[] = {Reads(sample, 0, rows, capacity, d),
+///                               Writes(contributions)};
 ///   queue->EnqueueLaunch("kde_contributions", s, d, body, acc);
 template <typename T>
 BufferAccess Reads(const DeviceBuffer<T>& buffer, std::size_t offset = 0,
-                   std::size_t n = kWholeBuffer) {
-  return internal::MakeAccess(buffer, AccessMode::kRead, offset, n);
+                   std::size_t n = kWholeBuffer, std::size_t pitch = 0,
+                   std::size_t strips = 1) {
+  return internal::MakeAccess(buffer, AccessMode::kRead, offset, n, pitch,
+                              strips);
 }
 
 template <typename T>
 BufferAccess Writes(const DeviceBuffer<T>& buffer, std::size_t offset = 0,
-                    std::size_t n = kWholeBuffer) {
-  return internal::MakeAccess(buffer, AccessMode::kWrite, offset, n);
+                    std::size_t n = kWholeBuffer, std::size_t pitch = 0,
+                    std::size_t strips = 1) {
+  return internal::MakeAccess(buffer, AccessMode::kWrite, offset, n, pitch,
+                              strips);
 }
 
 template <typename T>
 BufferAccess ReadsWrites(const DeviceBuffer<T>& buffer, std::size_t offset = 0,
                          std::size_t n = kWholeBuffer) {
-  return internal::MakeAccess(buffer, AccessMode::kReadWrite, offset, n);
+  return internal::MakeAccess(buffer, AccessMode::kReadWrite, offset, n, 0, 1);
 }
 
 /// \brief Counters of a device's scratch-buffer pool (see
@@ -331,6 +339,22 @@ class Device {
   template <typename T>
   void CopyToHost(const DeviceBuffer<T>& src, std::size_t offset,
                   std::size_t n, T* host);
+
+  /// Blocking `CommandQueue::EnqueueCopyRectToDevice`/`...ToHost`.
+  template <typename T>
+  void CopyRectToDevice(const T* host, std::size_t n, std::size_t strips,
+                        std::size_t pitch, DeviceBuffer<T>* dst,
+                        std::size_t offset = 0) {
+    default_queue_->EnqueueCopyRectToDevice(host, n, strips, pitch, dst,
+                                            offset).Wait();
+  }
+  template <typename T>
+  void CopyRectToHost(const DeviceBuffer<T>& src, std::size_t offset,
+                      std::size_t n, std::size_t strips, std::size_t pitch,
+                      T* host) {
+    default_queue_->EnqueueCopyRectToHost(src, offset, n, strips, pitch, host)
+        .Wait();
+  }
 
   /// Enqueues a data-parallel kernel over `global_size` work items and
   /// blocks until completion. `ops_per_item` is the work-unit count per
@@ -455,13 +479,7 @@ Event CommandQueue::EnqueueCopyToDevice(const T* host, std::size_t n,
                                         DeviceBuffer<T>* dst,
                                         std::size_t offset,
                                         std::span<const Event> wait_list) {
-  FKDE_CHECK_MSG(offset + n <= dst->size(), "CopyToDevice out of bounds");
-  if (n == 0) return Event();  // Nothing moves: not metered, not charged.
-  // Transfers auto-declare their device-side access-set; the host
-  // pointer is untracked staging memory.
-  return EnqueueCopyBytes(dst->device_data() + offset, host, n * sizeof(T),
-                          /*to_device=*/true, Writes(*dst, offset, n),
-                          wait_list);
+  return EnqueueCopyRectToDevice(host, n, 1, n, dst, offset, wait_list);
 }
 
 template <typename T>
@@ -469,11 +487,42 @@ Event CommandQueue::EnqueueCopyToHost(const DeviceBuffer<T>& src,
                                       std::size_t offset, std::size_t n,
                                       T* host,
                                       std::span<const Event> wait_list) {
-  FKDE_CHECK_MSG(offset + n <= src.size(), "CopyToHost out of bounds");
+  return EnqueueCopyRectToHost(src, offset, n, 1, n, host, wait_list);
+}
+
+template <typename T>
+Event CommandQueue::EnqueueCopyRectToDevice(const T* host, std::size_t n,
+                                            std::size_t strips,
+                                            std::size_t pitch,
+                                            DeviceBuffer<T>* dst,
+                                            std::size_t offset,
+                                            std::span<const Event> wait_list) {
+  FKDE_CHECK_MSG(
+      strips > 0 && offset + (strips - 1) * pitch + n <= dst->size(),
+      "CopyToDevice out of bounds");
   if (n == 0) return Event();  // Nothing moves: not metered, not charged.
-  return EnqueueCopyBytes(host, src.device_data() + offset, n * sizeof(T),
-                          /*to_device=*/false, Reads(src, offset, n),
-                          wait_list);
+  // Transfers auto-declare their device-side access-set; the host
+  // pointer is untracked staging memory.
+  return EnqueueCopyBytes(dst->device_data() + offset, pitch * sizeof(T), host,
+                          n * sizeof(T), n * sizeof(T), strips,
+                          /*to_device=*/true,
+                          Writes(*dst, offset, n, pitch, strips), wait_list);
+}
+
+template <typename T>
+Event CommandQueue::EnqueueCopyRectToHost(const DeviceBuffer<T>& src,
+                                          std::size_t offset, std::size_t n,
+                                          std::size_t strips,
+                                          std::size_t pitch, T* host,
+                                          std::span<const Event> wait_list) {
+  FKDE_CHECK_MSG(
+      strips > 0 && offset + (strips - 1) * pitch + n <= src.size(),
+      "CopyToHost out of bounds");
+  if (n == 0) return Event();
+  return EnqueueCopyBytes(host, n * sizeof(T), src.device_data() + offset,
+                          pitch * sizeof(T), n * sizeof(T), strips,
+                          /*to_device=*/false,
+                          Reads(src, offset, n, pitch, strips), wait_list);
 }
 
 template <typename T>

@@ -67,10 +67,12 @@ void BufferRegistry::AddObserver(std::weak_ptr<HazardChecker> observer) {
 
 namespace {
 
-bool StateComplete(const std::shared_ptr<EventState>& state) {
+/// True once the command's body returned: it touches no buffer any more,
+/// even while the dispatcher is still releasing its captures.
+bool StateExecuted(const std::shared_ptr<EventState>& state) {
   if (!state) return true;
   std::lock_guard<std::mutex> lock(state->mu);
-  return state->complete;
+  return state->executed;
 }
 
 }  // namespace
@@ -211,17 +213,37 @@ void HazardChecker::CheckAccessLocked(const BufferAccess& access,
     AddReportLocked(HazardKind::kUseAfterFree, access.buffer_id, os.str());
     return;
   }
-  const std::size_t a = std::min(access.offset_bytes, buffer_bytes);
-  const std::size_t b =
-      std::min(access.offset_bytes + access.length_bytes, buffer_bytes);
-  if (a >= b) return;
   BufferState& bs = buffers_[access.buffer_id];
+  // One report per (kind, conflicting command) even when the conflict
+  // spans several intervals or runs.
+  Reported reported;
+  for (std::size_t k = 0; k < access.runs; ++k) {
+    const std::size_t first = access.offset_bytes + k * access.pitch_bytes;
+    const std::size_t a = std::min(first, buffer_bytes);
+    const std::size_t b = std::min(first + access.length_bytes, buffer_bytes);
+    if (a < b) CheckRangeLocked(access, a, b, clock, ref, &bs, &reported);
+  }
+}
+
+void HazardChecker::CheckRangeLocked(const BufferAccess& access,
+                                     std::size_t a, std::size_t b,
+                                     const Clock& clock,
+                                     const CommandRef& ref,
+                                     BufferState* state, Reported* reported) {
+  BufferState& bs = *state;
   const bool is_read = access.mode != AccessMode::kWrite;
   const bool is_write = access.mode != AccessMode::kRead;
 
   if (is_read) {
     ByteRange gap;
-    if (FindUncovered(bs.init, a, b, &gap) && !OpaqueCoversLocked(clock)) {
+    // Keyed by the reader itself: one report per access, however many
+    // of its runs read uninitialized bytes.
+    const std::tuple<HazardKind, std::uint64_t, std::uint64_t> self{
+        HazardKind::kUseBeforeInit, ref.queue_id, ref.index};
+    if (FindUncovered(bs.init, a, b, &gap) && !OpaqueCoversLocked(clock) &&
+        std::find(reported->begin(), reported->end(), self) ==
+            reported->end()) {
+      reported->push_back(self);
       std::ostringstream os;
       os << HazardKindName(HazardKind::kUseBeforeInit) << ": "
          << DescribeRef(ref) << " reads bytes [" << gap.first << ", "
@@ -235,17 +257,15 @@ void HazardChecker::CheckAccessLocked(const BufferAccess& access,
   // intervals, then check the new access against each interval's per-queue
   // writer/reader frontiers and fold it in.
   auto [lo, hi] = EnsureIntervals(&bs.intervals, a, b);
-  // One report per (kind, conflicting command) even when the conflict
-  // spans several intervals.
-  std::vector<std::tuple<HazardKind, std::uint64_t, std::uint64_t>> reported;
   auto report_once = [&](HazardKind kind, const CommandRef& other,
                          const char* verb) {
     const std::tuple<HazardKind, std::uint64_t, std::uint64_t> key{
         kind, other.queue_id, other.index};
-    if (std::find(reported.begin(), reported.end(), key) != reported.end()) {
+    if (std::find(reported->begin(), reported->end(), key) !=
+        reported->end()) {
       return;
     }
-    reported.push_back(key);
+    reported->push_back(key);
     std::ostringstream os;
     os << HazardKindName(kind) << " on buffer " << access.buffer_id
        << " bytes [" << a << ", " << b << "): " << DescribeRef(ref) << " "
@@ -429,7 +449,7 @@ void HazardChecker::ReportInFlightLocked(std::uint64_t id, HazardKind kind,
   for (const Interval& interval : it->second.intervals) {
     for (const Frontier* frontier : {&interval.writers, &interval.readers}) {
       for (const auto& [queue, ref] : *frontier) {
-        if (internal::StateComplete(ref.state)) continue;
+        if (internal::StateExecuted(ref.state)) continue;
         std::ostringstream os;
         os << HazardKindName(kind) << ": buffer " << id << " " << what
            << " while " << DescribeRef(ref)

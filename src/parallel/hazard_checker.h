@@ -54,6 +54,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -220,6 +221,16 @@ class HazardChecker : public std::enable_shared_from_this<HazardChecker> {
                        std::string message);
   void CheckAccessLocked(const BufferAccess& access, const Clock& clock,
                          const CommandRef& ref);
+  /// (kind, queue, index) of the reports one access already made: the
+  /// conflicting command of a race, the reader itself for
+  /// use-before-init.
+  using Reported =
+      std::vector<std::tuple<HazardKind, std::uint64_t, std::uint64_t>>;
+  /// Checks and records one contiguous run [a, b) of `access`.
+  void CheckRangeLocked(const BufferAccess& access, std::size_t a,
+                        std::size_t b, const Clock& clock,
+                        const CommandRef& ref, BufferState* state,
+                        Reported* reported);
   void ReportInFlightLocked(std::uint64_t id, HazardKind kind,
                             const char* what);
   /// True when an opaque kernel happens-before `clock`.

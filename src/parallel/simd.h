@@ -42,8 +42,8 @@ namespace fkde {
 /// How the fused per-point kernels execute on the host threads.
 enum class KernelBackend {
   kScalar,  ///< Seed-identical per-point loops.
-  kSimd,    ///< AVX2 lanes over the SoA sample view (falls back to
-            ///< kScalar when the CPU lacks AVX2).
+  kSimd,    ///< AVX2 lanes over the dim-major sample strips (falls
+            ///< back to kScalar when the CPU lacks AVX2).
 };
 
 /// Lane precision of the fused kernels (storage is float either way; the

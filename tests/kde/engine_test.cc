@@ -40,10 +40,8 @@ struct EngineFixture {
     Rng rng(seed + 1);
     FKDE_CHECK_OK(sample->LoadFromTable(*table, &rng));
     engine = std::make_unique<KdeEngine>(sample.get(), kernel);
-    // Host copy of the sample for reference computations.
-    std::vector<float> staging(sample->size() * dims);
-    device->CopyToHost(sample->buffer(), 0, staging.size(), staging.data());
-    host_sample.assign(staging.begin(), staging.end());
+    // Host copy of the sample (row-major) for reference computations.
+    host_sample = sample->GatherRows();
   }
 
   std::unique_ptr<Table> table;
@@ -285,6 +283,47 @@ TEST(Engine, PerQueryTrafficIsTiny) {
   EXPECT_EQ(after.bytes_to_device - before.bytes_to_device,
             2 * 4 * sizeof(double));  // Bounds.
   EXPECT_EQ(after.bytes_to_host - before.bytes_to_host, sizeof(double));
+}
+
+TEST(Engine, EstimateOnlySlotsHoldNoGradientPartials) {
+  // A slot allocates its d*capacity gradient partials at its first
+  // gradient pass, so an estimate-only (Heuristic) model never holds them.
+  constexpr std::size_t kDims = 4;
+  constexpr std::size_t kSample = 512;
+  EngineFixture f(5000, kDims, kSample, KernelType::kGaussian, 33);
+  const Box box({0.1, 0.1, 0.1, 0.1}, {0.5, 0.5, 0.5, 0.5});
+  const std::size_t estimate_only =
+      (2 * kDims + kSample + kDims + 1) * sizeof(double);
+  EXPECT_EQ(f.engine->SlotBytes(), estimate_only);
+  (void)f.engine->Estimate(box);
+  std::vector<double> estimates(3);
+  f.engine->EstimateBatch(std::vector<Box>(3, box), estimates);
+  EXPECT_EQ(f.engine->SlotBytes(), estimate_only);
+
+  std::vector<double> gradient;
+  (void)f.engine->EstimateWithGradient(box, &gradient);
+  EXPECT_EQ(f.engine->SlotBytes(),
+            estimate_only + kDims * kSample * sizeof(double));
+}
+
+TEST(Engine, LazilyAllocatedPartialsKeepGradientsBitwise) {
+  // The enqueued (adaptive) gradient of a slot that allocates its
+  // partials on first use equals the synchronous gradient bitwise.
+  EngineFixture a(5000, 3, 1024, KernelType::kEpanechnikov, 34);
+  EngineFixture b(5000, 3, 1024, KernelType::kEpanechnikov, 34);
+  const Box box({0.1, 0.2, 0.1}, {0.6, 0.5, 0.7});
+  std::vector<double> sync_gradient;
+  (void)a.engine->EstimateWithGradient(box, &sync_gradient);
+  const std::size_t slot = b.engine->BeginEstimateSlot(box);
+  (void)b.engine->FinishEstimateSlot(slot);
+  b.engine->EnqueueGradientSlot(slot);
+  std::vector<double> gradient;
+  b.engine->CollectGradientSlot(slot, &gradient);
+  b.engine->ReleaseSlot(slot);
+  ASSERT_EQ(gradient.size(), sync_gradient.size());
+  for (std::size_t j = 0; j < gradient.size(); ++j) {
+    EXPECT_EQ(gradient[j], sync_gradient[j]) << "dim " << j;
+  }
 }
 
 }  // namespace

@@ -47,6 +47,26 @@ struct EstimatorFixture {
   std::vector<Query> test;
 };
 
+TEST(KdeEstimator, OnlyGradientModelsHoldGradientPartials) {
+  // Slot gradient partials (d*capacity doubles) are allocated by a
+  // slot's first gradient pass: the frozen Heuristic model never runs
+  // one, the Adaptive model does at its first feedback.
+  EstimatorFixture f(41);
+  auto heuristic = f.Build(Mode::kHeuristic);
+  auto adaptive = f.Build(Mode::kAdaptive);
+  for (std::size_t i = 0; i < 12; ++i) {
+    (void)heuristic->EstimateSelectivity(f.test[i].box);
+    (void)adaptive->EstimateSelectivity(f.test[i].box);
+    adaptive->ObserveTrueSelectivity(f.test[i].box, f.test[i].selectivity);
+  }
+  const std::size_t d = 3;
+  const std::size_t s = 512;
+  const std::size_t slot_bytes = (2 * d + s + d + 1) * sizeof(double);
+  EXPECT_EQ(heuristic->engine()->SlotBytes(), slot_bytes);
+  EXPECT_GE(adaptive->engine()->SlotBytes(),
+            slot_bytes + d * s * sizeof(double));
+}
+
 TEST(KdeEstimator, NamesMatchModes) {
   EstimatorFixture f(1);
   EXPECT_EQ(f.Build(Mode::kHeuristic)->name(), "kde_heuristic");

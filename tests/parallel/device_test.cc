@@ -155,6 +155,71 @@ TEST(Device, ZeroLengthTransfersAreFreeAndUnmetered) {
   EXPECT_DOUBLE_EQ(device.ModeledSeconds(), 0.0);
 }
 
+TEST(Device, RectCopyBooksOneTransferOfItsBytes) {
+  // One sample row written across d dim-major strips (OpenCL's
+  // clEnqueueWriteBufferRect): the ledger grows by exactly one transfer
+  // of d floats, and the modeled clock charges exactly what a contiguous
+  // copy of the same bytes costs.
+  constexpr std::size_t kDims = 5;
+  constexpr std::size_t kPitch = 64;
+  constexpr std::size_t kRow = 7;
+  Device rect(DeviceProfile::SimulatedGtx460());
+  Device flat(DeviceProfile::SimulatedGtx460());
+  auto strips = rect.CreateBuffer<float>(kDims * kPitch);
+  auto contiguous = flat.CreateBuffer<float>(kDims * kPitch);
+  // Identical histories on both devices: zero-fill, then reset.
+  const std::vector<float> zeros(kDims * kPitch, 0.0f);
+  for (auto [device, buffer] : {std::pair{&rect, &strips},
+                                std::pair{&flat, &contiguous}}) {
+    device->CopyToDevice(zeros.data(), zeros.size(), buffer);
+    device->ResetLedger();
+    device->ResetModeledTime();
+  }
+  const std::vector<float> row = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
+  rect.CopyRectToDevice(row.data(), 1, kDims, kPitch, &strips, kRow);
+  flat.CopyToDevice(row.data(), kDims, &contiguous);
+  EXPECT_EQ(rect.ledger().transfers_to_device, 1u);
+  EXPECT_EQ(rect.ledger().bytes_to_device, kDims * sizeof(float));
+  EXPECT_EQ(rect.ModeledSeconds(), flat.ModeledSeconds());
+  EXPECT_EQ(rect.DeviceBusySeconds(), flat.DeviceBusySeconds());
+
+  // Each element landed in its own strip; the same primitive reads the
+  // row back as one transfer.
+  std::vector<float> all(kDims * kPitch);
+  rect.CopyToHost(strips, 0, all.size(), all.data());
+  for (std::size_t j = 0; j < kDims; ++j) {
+    EXPECT_EQ(all[j * kPitch + kRow], row[j]) << "strip " << j;
+    EXPECT_EQ(all[j * kPitch + kRow + 1], 0.0f) << "strip " << j;
+  }
+  std::vector<float> back(kDims);
+  rect.ResetLedger();
+  rect.CopyRectToHost(strips, kRow, 1, kDims, kPitch, back.data());
+  EXPECT_EQ(back, row);
+  EXPECT_EQ(rect.ledger().transfers_to_host, 1u);
+  EXPECT_EQ(rect.ledger().bytes_to_host, kDims * sizeof(float));
+}
+
+TEST(Device, RectCopyMovesEveryStripRun) {
+  // A block of rows: strips x count elements at a pitch, packed back to
+  // back on the host.
+  constexpr std::size_t kStrips = 3;
+  constexpr std::size_t kCount = 4;
+  constexpr std::size_t kPitch = 10;
+  Device device(DeviceProfile::OpenClCpu());
+  auto buffer = device.CreateBuffer<double>(kStrips * kPitch);
+  std::vector<double> block(kStrips * kCount);
+  std::iota(block.begin(), block.end(), 1.0);
+  device.CopyRectToDevice(block.data(), kCount, kStrips, kPitch, &buffer,
+                          /*offset=*/2);
+  std::vector<double> back(kStrips * kCount);
+  device.CopyRectToHost(buffer, 2, kCount, kStrips, kPitch, back.data());
+  EXPECT_EQ(back, block);
+  EXPECT_EQ(device.ledger().transfers_to_device, 1u);
+  EXPECT_EQ(device.ledger().transfers_to_host, 1u);
+  EXPECT_EQ(device.ledger().bytes_to_device, block.size() * sizeof(double));
+  EXPECT_EQ(device.ledger().bytes_to_host, block.size() * sizeof(double));
+}
+
 TEST(DeviceBuffer, MoveKeepsStoragePointerStable) {
   Device device(DeviceProfile::OpenClCpu());
   auto buffer = device.CreateBuffer<double>(64);

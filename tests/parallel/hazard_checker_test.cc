@@ -427,6 +427,54 @@ TEST(HazardRegression, DeclaredViewPointerOrdersBandwidthRace) {
   EXPECT_NE(msg.find("'bandwidth_update'"), std::string::npos) << msg;
 }
 
+TEST(HazardPositive, StridedAccessCoversOnlyItsRuns) {
+  // A rect upload initializes the live prefix of each strip; a strided
+  // read of exactly those runs is clean, one element more per strip
+  // reads bytes no command wrote.
+  Device device(DeviceProfile::OpenClCpu());
+  auto checker = AttachDeferred(&device);
+  auto strips = device.CreateBuffer<float>(2 * 8);
+  const std::vector<float> rows(2 * 3, 1.0f);
+  device.CopyRectToDevice(rows.data(), 3, 2, 8, &strips);
+  const BufferAccess live[] = {Reads(strips, 0, 3, 8, 2)};
+  device.Launch("reads_live_rows", 1, 1.0, Nop, live);
+  EXPECT_TRUE(checker->Validate().empty()) << Messages(checker->Validate());
+  const BufferAccess beyond[] = {Reads(strips, 0, 4, 8, 2)};
+  device.Launch("reads_past_live_rows", 1, 1.0, Nop, beyond);
+  const std::vector<HazardReport> reports = checker->Validate();
+  ASSERT_EQ(CountKind(reports, HazardKind::kUseBeforeInit), 1u)
+      << Messages(reports);
+  EXPECT_NE(Messages(reports).find("bytes [12, 16)"), std::string::npos)
+      << Messages(reports);
+}
+
+// Regression: the last level of a multi-level segmented reduction holds
+// the final references to its ping-pong scratch, so the scratch parks
+// while the dispatcher retires that command. The checker used to count
+// the retiring command as still in flight, and a strict device aborted
+// building any model whose Scott moments pass reduces more than one
+// work-group (s > 256) with "scratch released in flight".
+TEST(HazardRegression, StrictDeviceBuildsModelWithMultiLevelReduction) {
+  constexpr std::size_t kRows = 1024;
+  constexpr std::size_t kDims = 3;
+  Device device(DeviceProfile::SimulatedGtx460());
+  device.EnableHazardChecking(HazardMode::kStrict);
+  DeviceSample sample(&device, kRows, kDims);
+  std::vector<double> rows(kRows * kDims);
+  Rng rng(9);
+  for (double& v : rows) v = rng.Uniform();
+  FKDE_CHECK_OK(sample.LoadRows(rows, kRows));
+  KdeEngine engine(&sample, KernelType::kGaussian);
+  const Box box(std::vector<double>(kDims, 0.2),
+                std::vector<double>(kDims, 0.7));
+  std::vector<double> gradient;
+  EXPECT_GT(engine.EstimateWithGradient(box, &gradient), 0.0);
+  sample.ReplaceRow(5, std::vector<double>(kDims, 0.5));
+  EXPECT_GT(engine.Estimate(box), 0.0);
+  device.default_queue()->Finish();
+  EXPECT_TRUE(device.hazard_checker()->Validate().empty());
+}
+
 TEST(BufferRegistry, MoveAssignReleasesMovedOverRegistration) {
   Device device(DeviceProfile::OpenClCpu());
   auto a = device.CreateBuffer<double>(4);
