@@ -319,8 +319,8 @@ void BM_FusedContribution(benchmark::State& state) {
   const std::vector<double> h(d, 0.12);
   std::vector<double> bounds(2 * d);
   for (std::size_t j = 0; j < d; ++j) {
-    bounds[2 * j] = 0.2;
-    bounds[2 * j + 1] = 0.7;
+    bounds[j] = 0.2;
+    bounds[d + j] = 0.7;
   }
   kb::ShardKernelView view;
   view.backend = backend;

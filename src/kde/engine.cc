@@ -187,22 +187,17 @@ std::vector<double> KdeEngine::ComputeScottBandwidth() {
     moments[si] = sh.device->AcquireScratch(2 * d * rows);
     sums[si] = sh.device->AcquireScratch(2 * d);
     host_sums[si].resize(2 * d);
-    // The trimmed MomentsView (no bandwidth/scale pointers — kb::Moments
-    // reads raw sample values only, and the bandwidth it derives is not
-    // initialized yet) keeps the declared set equal to the kernel's real
-    // pointer surface, which fkde-lint checks at view granularity.
-    const kb::ShardKernelView view = MomentsView(si);
-    double* out = moments[si]->device_data();
-    // The live prefix of every strip.
-    const BufferAccess moments_acc[] = {
-        Reads(sample_->shard_buffer(si), 0, rows, sample_->stride(), d),
-        Writes(*moments[si], 0, 2 * d * rows)};
+    // Only the sample is declared: kb::Moments reads raw sample values,
+    // and the bandwidth it derives is not initialized yet.
+    const kb::ShardKernelView view = KernelView(si);
     queue->EnqueueLaunch(
         "scott_moments", rows, 2.0 * static_cast<double>(d),
-        [view, out, rows](std::size_t begin, std::size_t end) {
-          kb::Moments(view, out, rows, begin, end);
-        },
-        moments_acc);
+        std::tuple(In(sample_->shard_buffer(si), 0, rows, sample_->stride(), d),
+                   Out(moments[si], 0, 2 * d * rows)),
+        [view, rows](std::size_t begin, std::size_t end, const float* x,
+                     double* out) {
+          kb::Moments(view.Over(x), out, rows, begin, end);
+        });
     EnqueueReduceSumSegments(queue, *moments[si], 0, rows, 2 * d,
                              sums[si].get());
     done[si] = queue->EnqueueCopyToHost(*sums[si], 0, 2 * d,
@@ -241,24 +236,26 @@ void KdeEngine::StageBounds(const Box& box, double* staging) const {
   }
 }
 
-kb::ShardKernelView KdeEngine::MomentsView(std::size_t shard) const {
+kb::ShardKernelView KdeEngine::KernelView(std::size_t shard) const {
   const EngineShard& sh = shards_[shard];
   kb::ShardKernelView view;
   view.backend = sh.backend;
   view.precision = sh.precision;
   view.kernel = kernel_;
   view.d = dims();
-  view.sample = sample_->shard_buffer(shard).device_data();
   view.stride = sample_->stride();
   return view;
 }
 
-kb::ShardKernelView KdeEngine::ShardView(std::size_t shard) const {
+std::tuple<In<float>, In<double>, InIf<float>> KdeEngine::ShardReads(
+    std::size_t shard) const {
   const EngineShard& sh = shards_[shard];
-  kb::ShardKernelView view = MomentsView(shard);
-  view.h = sh.bandwidth_dev.device_data();
-  view.scales = has_scales_ ? sh.point_scales.device_data() : nullptr;
-  return view;
+  const std::size_t rows = sample_->shard_size(shard);
+  // The live prefix of every strip.
+  return {In(sample_->shard_buffer(shard), 0, rows, sample_->stride(),
+             dims()),
+          In(sh.bandwidth_dev, 0, dims()),
+          InIf(has_scales_, sh.point_scales, 0, rows)};
 }
 
 double KdeEngine::Estimate(const Box& box) {
@@ -301,23 +298,18 @@ std::size_t KdeEngine::BeginEstimateSlot(const Box& box) {
     if (rows == 0) continue;
     CommandQueue* queue = sh.device->default_queue();
     queue->EnqueueCopyToDevice(staging, 2 * d, &sl.bounds_dev);
-    const kb::ShardKernelView view = ShardView(si);
-    const double* bounds = sl.bounds_dev.device_data();
-    double* contrib = sl.contributions.device_data();
-    BufferAccess acc[5];
-    std::size_t na = 0;
-    acc[na++] =
-        Reads(sample_->shard_buffer(si), 0, rows, sample_->stride(), d);
-    acc[na++] = Reads(sl.bounds_dev, 0, 2 * d);
-    acc[na++] = Reads(sh.bandwidth_dev, 0, d);
-    acc[na++] = Writes(sl.contributions, 0, rows);
-    if (has_scales_) acc[na++] = Reads(sh.point_scales, 0, rows);
+    const kb::ShardKernelView view = KernelView(si);
     queue->EnqueueLaunch(
         "kde_contributions", rows, static_cast<double>(d),
-        [view, bounds, contrib](std::size_t begin, std::size_t end) {
-          kb::FusedContribution(view, bounds, contrib, begin, end);
-        },
-        std::span<const BufferAccess>(acc, na));
+        std::tuple_cat(ShardReads(si),
+                       std::tuple(In(sl.bounds_dev, 0, 2 * d),
+                                  Out(sl.contributions, 0, rows))),
+        [view](std::size_t begin, std::size_t end, const float* x,
+               const double* h, const float* scales, const double* bounds,
+               double* contrib) {
+          kb::FusedContribution(view.Over(x, h, scales), bounds, contrib,
+                                begin, end);
+        });
     EnqueueReduceSumSegments(queue, sl.contributions, 0, rows, 1,
                              &sl.est_sum);
     sl.est_done = queue->EnqueueCopyToHost(sl.est_sum, 0, 1, &sl.est_staging);
@@ -351,10 +343,7 @@ void KdeEngine::EnqueueGradientPartialsKernel(std::size_t shard,
   if (sl.grad_partials.empty()) {
     sl.grad_partials = sh.device->CreateBuffer<double>(d * sample_->capacity());
   }
-  const kb::ShardKernelView view = ShardView(shard);
-  const double* bounds = sl.bounds_dev.device_data();
-  double* contrib = sl.contributions.device_data();
-  double* partials = sl.grad_partials.device_data();
+  const kb::ShardKernelView view = KernelView(shard);
 
   // Fused kernel: per sample point, the per-dimension CDF differences and
   // their h-derivatives give both the contribution (13) and, via
@@ -363,23 +352,18 @@ void KdeEngine::EnqueueGradientPartialsKernel(std::size_t shard,
   // ops/item; whether that cost reaches the host depends on who waits —
   // the synchronous path blocks on it, the enqueued path lets it run
   // while the database executes the query (Section 5.5).
-  auto body = [view, bounds, contrib, partials,
-               rows](std::size_t begin, std::size_t end) {
-    kb::FusedContributionGrad(view, bounds, contrib, partials, rows, begin,
-                              end);
-  };
-  BufferAccess acc[6];
-  std::size_t na = 0;
-  acc[na++] =
-      Reads(sample_->shard_buffer(shard), 0, rows, sample_->stride(), d);
-  acc[na++] = Reads(sl.bounds_dev, 0, 2 * d);
-  acc[na++] = Reads(sh.bandwidth_dev, 0, d);
-  acc[na++] = Writes(sl.contributions, 0, rows);
-  acc[na++] = Writes(sl.grad_partials, 0, d * rows);
-  if (has_scales_) acc[na++] = Reads(sh.point_scales, 0, rows);
   sh.device->default_queue()->EnqueueLaunch(
-      "kde_contributions_grad", rows, 3.0 * static_cast<double>(d), body,
-      std::span<const BufferAccess>(acc, na));
+      "kde_contributions_grad", rows, 3.0 * static_cast<double>(d),
+      std::tuple_cat(ShardReads(shard),
+                     std::tuple(In(sl.bounds_dev, 0, 2 * d),
+                                Out(sl.contributions, 0, rows),
+                                Out(sl.grad_partials, 0, d * rows))),
+      [view, rows](std::size_t begin, std::size_t end, const float* x,
+                   const double* h, const float* scales,
+                   const double* bounds, double* contrib, double* partials) {
+        kb::FusedContributionGrad(view.Over(x, h, scales), bounds, contrib,
+                                  partials, rows, begin, end);
+      });
 }
 
 double KdeEngine::EstimateWithGradient(const Box& box,
@@ -524,15 +508,9 @@ std::vector<KdeEngine::BatchShard> KdeEngine::EnqueueBatchPipelines(
     bs.est = sh.device->AcquireScratch(m);
     if (reduce_gradients) bs.grad = sh.device->AcquireScratch(m * d);
 
-    const kb::ShardKernelView view = ShardView(si);
-    const double* bounds = bs.bounds->device_data();
-    double* contrib = bs.contrib->device_data();
-    double* partials = with_partials ? bs.partials->device_data() : nullptr;
-    // Keep the scratch handles alive until the shard's chain completes:
-    // the last command to hold them releases them back to the pool.
-    const ScratchBuffer hold_bounds = bs.bounds;
-    const ScratchBuffer hold_contrib = bs.contrib;
-    const ScratchBuffer hold_partials = bs.partials;
+    // The accessors below lease the scratch to each command that names
+    // it: the last one to retire releases it back to the pool.
+    const kb::ShardKernelView view = KernelView(si);
 
     for (std::size_t t0 = 0; t0 < m; t0 += tile) {
       const std::size_t t = std::min(tile, m - t0);
@@ -544,54 +522,46 @@ std::vector<KdeEngine::BatchShard> KdeEngine::EnqueueBatchPipelines(
         // the contrib writes of a work-group stay contiguous per query —
         // and so the backend re-hoists the per-(query, dim) reciprocals
         // once per query descriptor.
-        auto body = [=](std::size_t begin, std::size_t end) {
-          for (std::size_t q = 0; q < t; ++q) {
-            kb::FusedContribution(view, bounds + (t0 + q) * 2 * d,
-                                  contrib + q * rows, begin, end);
-          }
-          (void)hold_bounds;
-          (void)hold_contrib;
-        };
-        BufferAccess acc[5];
-        std::size_t na = 0;
-        acc[na++] =
-            Reads(sample_->shard_buffer(si), 0, rows, sample_->stride(), d);
-        acc[na++] = Reads(*bs.bounds, t0 * 2 * d, t * 2 * d);
-        acc[na++] = Reads(sh.bandwidth_dev, 0, d);
-        acc[na++] = Writes(*bs.contrib, 0, t * rows);
-        if (has_scales_) acc[na++] = Reads(sh.point_scales, 0, rows);
-        queue->EnqueueLaunch("kde_batch_contributions", rows,
-                             static_cast<double>(t * d), body,
-                             std::span<const BufferAccess>(acc, na));
+        queue->EnqueueLaunch(
+            "kde_batch_contributions", rows, static_cast<double>(t * d),
+            std::tuple_cat(ShardReads(si),
+                           std::tuple(In(bs.bounds, t0 * 2 * d, t * 2 * d),
+                                      Out(bs.contrib, 0, t * rows))),
+            [view, t, d, rows](std::size_t begin, std::size_t end,
+                               const float* x, const double* h,
+                               const float* scales, const double* bounds,
+                               double* contrib) {
+              const kb::ShardKernelView v = view.Over(x, h, scales);
+              for (std::size_t q = 0; q < t; ++q) {
+                kb::FusedContribution(v, bounds + q * 2 * d,
+                                      contrib + q * rows, begin, end);
+              }
+            });
       } else {
         // Fused contribution+gradient kernel over the rows×tile grid,
         // reusing the prefix/suffix-product scheme of
         // EstimateWithGradient per query. Partials are stored query-major
         // ((q*d + j)*rows + i) so both the per-query segmented reduction
         // and the loss-weighted fold read contiguous segments.
-        auto body = [=](std::size_t begin, std::size_t end) {
-          for (std::size_t q = 0; q < t; ++q) {
-            kb::FusedContributionGrad(view, bounds + (t0 + q) * 2 * d,
-                                      contrib + q * rows,
-                                      partials + q * d * rows, rows, begin,
-                                      end);
-          }
-          (void)hold_bounds;
-          (void)hold_contrib;
-          (void)hold_partials;
-        };
-        BufferAccess acc[6];
-        std::size_t na = 0;
-        acc[na++] =
-            Reads(sample_->shard_buffer(si), 0, rows, sample_->stride(), d);
-        acc[na++] = Reads(*bs.bounds, t0 * 2 * d, t * 2 * d);
-        acc[na++] = Reads(sh.bandwidth_dev, 0, d);
-        acc[na++] = Writes(*bs.contrib, 0, t * rows);
-        acc[na++] = Writes(*bs.partials, 0, t * d * rows);
-        if (has_scales_) acc[na++] = Reads(sh.point_scales, 0, rows);
-        queue->EnqueueLaunch("kde_batch_contributions_grad", rows,
-                             3.0 * static_cast<double>(t * d), body,
-                             std::span<const BufferAccess>(acc, na));
+        queue->EnqueueLaunch(
+            "kde_batch_contributions_grad", rows,
+            3.0 * static_cast<double>(t * d),
+            std::tuple_cat(ShardReads(si),
+                           std::tuple(In(bs.bounds, t0 * 2 * d, t * 2 * d),
+                                      Out(bs.contrib, 0, t * rows),
+                                      Out(bs.partials, 0, t * d * rows))),
+            [view, t, d, rows](std::size_t begin, std::size_t end,
+                               const float* x, const double* h,
+                               const float* scales, const double* bounds,
+                               double* contrib, double* partials) {
+              const kb::ShardKernelView v = view.Over(x, h, scales);
+              for (std::size_t q = 0; q < t; ++q) {
+                kb::FusedContributionGrad(v, bounds + q * 2 * d,
+                                          contrib + q * rows,
+                                          partials + q * d * rows, rows,
+                                          begin, end);
+              }
+            });
       }
       // All tile estimates advance through every reduction level
       // together.
@@ -752,29 +722,20 @@ double KdeEngine::EstimateBatchLoss(std::span<const Box> boxes,
       // Only act once, after the last tile, when every estimate is
       // resident.
       if (t0 + t < m) return;
-      const double* est = bs.est->device_data();
-      const double* truth_dev = bs.bounds->device_data() + m * 2 * d;
-      double* out = results->device_data();
-      const ScratchBuffer hold_results = results;
-      const ScratchBuffer hold_est = bs.est;
-      const ScratchBuffer hold_bounds = bs.bounds;
-      auto body = [=](std::size_t begin, std::size_t end) {
-        for (std::size_t item = begin; item < end; ++item) {
-          double total = 0.0;
-          for (std::size_t q = 0; q < m; ++q) {
-            total +=
-                EvaluateLoss(loss, est[q] * inv_s, truth_dev[q], lambda);
-          }
-          out[item] = total;
-        }
-        (void)hold_results;
-        (void)hold_est;
-        (void)hold_bounds;
-      };
-      const BufferAccess acc[] = {Reads(*bs.est, 0, m),
-                                  Reads(*bs.bounds, m * 2 * d, m),
-                                  Writes(*results, 0, 1)};
-      dev->Launch("kde_batch_loss", 1, static_cast<double>(m), body, acc);
+      dev->Launch(
+          "kde_batch_loss", 1, static_cast<double>(m),
+          std::tuple(In(bs.est, 0, m), In(bs.bounds, m * 2 * d, m),
+                     Out(results, 0, 1)),
+          [=](std::size_t begin, std::size_t end, const double* est,
+              const double* truth, double* out) {
+            for (std::size_t item = begin; item < end; ++item) {
+              double total = 0.0;
+              for (std::size_t q = 0; q < m; ++q) {
+                total += EvaluateLoss(loss, est[q] * inv_s, truth[q], lambda);
+              }
+              out[item] = total;
+            }
+          });
     };
     EnqueueBatchPipelines(boxes, descriptors, m, /*with_partials=*/false,
                           /*reduce_gradients=*/false, fold,
@@ -795,57 +756,46 @@ double KdeEngine::EstimateBatchLoss(std::span<const Box> boxes,
   std::vector<double> grad_total(d, 0.0);
   std::vector<double> tile_results(d + 1);
   auto fold = [&](std::size_t t0, std::size_t t, BatchShard& bs) {
-    const double* est = bs.est->device_data();
-    const double* truth_dev = bs.bounds->device_data() + m * 2 * d;
-    const double* partials = bs.partials->device_data();
-    double* fold_out = fold_buf->device_data();
-    const ScratchBuffer hold_fold = fold_buf;
-    const ScratchBuffer hold_est = bs.est;
-    const ScratchBuffer hold_bounds = bs.bounds;
-    const ScratchBuffer hold_partials = bs.partials;
     // Items form d+1 segments of gpseg groups: segment k < d produces the
     // loss-weighted first reduction level of dimension k's partials;
     // segment d carries the tile's loss sum (group 0) padded with zeros,
     // so one segmented reduction finishes everything.
-    auto body = [=](std::size_t begin, std::size_t end) {
-      for (std::size_t item = begin; item < end; ++item) {
-        const std::size_t k = item / gpseg;
-        const std::size_t g = item % gpseg;
-        if (k == d) {
-          double total = 0.0;
-          if (g == 0) {
-            for (std::size_t q = 0; q < t; ++q) {
-              total += EvaluateLoss(loss, est[t0 + q] * inv_s,
-                                    truth_dev[t0 + q], lambda);
+    dev->Launch(
+        "kde_batch_loss_grad_fold", (d + 1) * gpseg,
+        static_cast<double>(t * kReduceGroupSize),
+        std::tuple(In(bs.est, t0, t), In(bs.bounds, m * 2 * d + t0, t),
+                   In(bs.partials, 0, t * d * s),
+                   Out(fold_buf, 0, (d + 1) * gpseg)),
+        [=](std::size_t begin, std::size_t end, const double* est,
+            const double* truth, const double* partials, double* fold_out) {
+          for (std::size_t item = begin; item < end; ++item) {
+            const std::size_t k = item / gpseg;
+            const std::size_t g = item % gpseg;
+            if (k == d) {
+              double total = 0.0;
+              if (g == 0) {
+                for (std::size_t q = 0; q < t; ++q) {
+                  total +=
+                      EvaluateLoss(loss, est[q] * inv_s, truth[q], lambda);
+                }
+              }
+              fold_out[item] = total;
+              continue;
             }
+            const std::size_t lo = g * kReduceGroupSize;
+            const std::size_t hi = std::min(lo + kReduceGroupSize, s);
+            double acc = 0.0;
+            for (std::size_t q = 0; q < t; ++q) {
+              const double weight =
+                  LossDerivative(loss, est[q] * inv_s, truth[q], lambda);
+              const double* seg = partials + (q * d + k) * s;
+              double sub = 0.0;
+              for (std::size_t i = lo; i < hi; ++i) sub += seg[i];
+              acc += weight * sub;
+            }
+            fold_out[item] = acc;
           }
-          fold_out[item] = total;
-          continue;
-        }
-        const std::size_t lo = g * kReduceGroupSize;
-        const std::size_t hi = std::min(lo + kReduceGroupSize, s);
-        double acc = 0.0;
-        for (std::size_t q = 0; q < t; ++q) {
-          const double weight = LossDerivative(loss, est[t0 + q] * inv_s,
-                                               truth_dev[t0 + q], lambda);
-          const double* seg = partials + (q * d + k) * s;
-          double sub = 0.0;
-          for (std::size_t i = lo; i < hi; ++i) sub += seg[i];
-          acc += weight * sub;
-        }
-        fold_out[item] = acc;
-      }
-      (void)hold_fold;
-      (void)hold_est;
-      (void)hold_bounds;
-      (void)hold_partials;
-    };
-    const BufferAccess acc[] = {Reads(*bs.est, t0, t),
-                                Reads(*bs.bounds, m * 2 * d + t0, t),
-                                Reads(*bs.partials, 0, t * d * s),
-                                Writes(*fold_buf, 0, (d + 1) * gpseg)};
-    dev->Launch("kde_batch_loss_grad_fold", (d + 1) * gpseg,
-                static_cast<double>(t * kReduceGroupSize), body, acc);
+        });
     ReduceSumSegments(dev, *fold_buf, 0, gpseg, d + 1, results.get(), 0);
     dev->CopyToHost(*results, 0, d + 1, tile_results.data());
     for (std::size_t k = 0; k < d; ++k) grad_total[k] += tile_results[k];

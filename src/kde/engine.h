@@ -42,6 +42,7 @@
 #include <deque>
 #include <functional>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
@@ -329,18 +330,17 @@ class KdeEngine {
   /// Stages `box` bounds into `staging` (2d doubles).
   void StageBounds(const Box& box, double* staging) const;
 
-  /// Builds the kernel-backend view of shard `shard` (raw device pointers
-  /// plus resolved backend/precision) captured by the fused kernel
-  /// bodies.
-  kb::ShardKernelView ShardView(std::size_t shard) const;
+  /// The pointer-free kernel-backend view of shard `shard` (resolved
+  /// backend/precision, kernel, dims, strip stride), captured by the
+  /// fused kernel bodies; each body binds it to the buffers its
+  /// accessors hand it via `kb::ShardKernelView::Over`.
+  kb::ShardKernelView KernelView(std::size_t shard) const;
 
-  /// Sample-only subset of ShardView for the Scott moments kernel: no
-  /// bandwidth/scale pointers, because `kb::Moments` reads raw sample
-  /// values only — and at moments time the bandwidth the moments will
-  /// *derive* is not initialized yet, so packing its pointer would hand
-  /// the kernel uninitialized memory (flagged by both fkde-lint's
-  /// access-set check and the hazard checker's use-before-init).
-  kb::ShardKernelView MomentsView(std::size_t shard) const;
+  /// The reads every fused contribution kernel of shard `shard` declares,
+  /// in the order its body receives them: the live prefix of each sample
+  /// strip, the bandwidth, and the point scales when the model has them.
+  std::tuple<In<float>, In<double>, InIf<float>> ShardReads(
+      std::size_t shard) const;
 
   /// Enqueues the fused gradient-partials kernel on shard `shard` for the
   /// bounds currently resident in slot `slot`'s bounds_dev (shared by

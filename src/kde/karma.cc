@@ -112,17 +112,14 @@ void KarmaMaintainer::EnqueueUpdate(const Box& box, double true_selectivity) {
       sh.pending = Event();
       continue;
     }
-    const double* contrib = engine_->shard_contributions(si).device_data();
-    double* karma = sh.karma.device_data();
-    std::uint32_t* flags = sh.flags.device_data();
     const std::size_t words = (rows + 31) / 32;
     CommandQueue* queue = sample->shard_device(si)->default_queue();
-    const BufferAccess acc[] = {
-        Reads(engine_->shard_contributions(si), 0, rows),
-        ReadsWrites(sh.karma, 0, rows), Writes(sh.flags, 0, words)};
     queue->EnqueueLaunch(
         "karma_update", words, 32.0,
-        [=](std::size_t begin, std::size_t end) {
+        std::tuple(In(engine_->shard_contributions(si), 0, rows),
+                   InOut(sh.karma, 0, rows), Out(sh.flags, 0, words)),
+        [=](std::size_t begin, std::size_t end, const double* contrib,
+            double* karma, std::uint32_t* flags) {
           for (std::size_t w = begin; w < end; ++w) {
             std::uint32_t word = 0;
             const std::size_t lo = w * 32;
@@ -145,8 +142,7 @@ void KarmaMaintainer::EnqueueUpdate(const Box& box, double true_selectivity) {
             }
             flags[w] = word;
           }
-        },
-        acc);
+        });
 
     // Enqueue the bitmap read-back (rows/8 bytes) behind the kernel; the
     // event is the collection handle.

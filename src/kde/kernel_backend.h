@@ -64,8 +64,9 @@ namespace kb {
 inline constexpr std::size_t kMaxDims = 32;
 
 /// \brief Everything a fused loop needs to read one shard: resolved
-/// backend/precision, kernel type, and raw device pointers. Built per
-/// shard per pass by the engine and captured by value into kernel bodies.
+/// backend/precision, kernel type, and raw device pointers. The engine
+/// captures the pointer-free part by value into kernel bodies, and each
+/// body binds it (`Over`) to the pointers its launch's accessors hand it.
 struct ShardKernelView {
   KernelBackend backend = KernelBackend::kScalar;
   KernelPrecision precision = KernelPrecision::kDouble;
@@ -81,6 +82,17 @@ struct ShardKernelView {
   /// the per-query hoisting (h_eff = h_j * scale_i is per point) but both
   /// backends still vectorize/stream over them.
   const float* scales = nullptr;
+
+  /// This view reading the given sample strips, bandwidth and scales.
+  ShardKernelView Over(const float* sample_strips,
+                       const double* bandwidth = nullptr,
+                       const float* point_scales = nullptr) const {
+    ShardKernelView view = *this;
+    view.sample = sample_strips;
+    view.h = bandwidth;
+    view.scales = point_scales;
+    return view;
+  }
 };
 
 /// Fused contribution loop over points [begin, end): writes the

@@ -40,7 +40,6 @@ Result<std::vector<double>> ComputeVariableScales(
     points = &gathered;
     stride = s;
   }
-  const float* data = points->device_data();
   const std::vector<double>& h = engine->bandwidth();
 
   // Pilot density at each sample point: leave-one-out Gaussian product
@@ -55,16 +54,12 @@ Result<std::vector<double>> ComputeVariableScales(
       inv_h[j] = 1.0 / h[j];
       norm *= kInvSqrt2Pi * inv_h[j];
     }
-    double* out = densities.device_data();
-    const double inv_h0 = inv_h[0];  // Silence unused in 1D fast path.
-    (void)inv_h0;
     std::vector<double> inv_h_vec(inv_h, inv_h + d);
-    const BufferAccess acc[] = {Reads(*points, 0, s, stride, d),
-                                Writes(densities, 0, s)};
     device->Launch(
         "variable_pilot_density", s, static_cast<double>(s * d) / 256.0,
-        [out, data, stride, s, d, norm, inv_h_vec](std::size_t begin,
-                                                   std::size_t end) {
+        std::tuple(In(*points, 0, s, stride, d), Out(densities, 0, s)),
+        [stride, s, d, norm, inv_h_vec](std::size_t begin, std::size_t end,
+                                        const float* data, double* out) {
           for (std::size_t i = begin; i < end; ++i) {
             double total = 0.0;
             for (std::size_t k = 0; k < s; ++k) {
@@ -81,8 +76,7 @@ Result<std::vector<double>> ComputeVariableScales(
             }
             out[i] = norm * total / static_cast<double>(s > 1 ? s - 1 : 1);
           }
-        },
-        acc);
+        });
   }
   std::vector<double> pilot(s);
   device->CopyToHost(densities, 0, s, pilot.data());

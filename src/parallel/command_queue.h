@@ -57,14 +57,20 @@
 /// Every command may declare the device-buffer byte ranges it touches as
 /// a list of `BufferAccess` records. Transfers declare theirs
 /// automatically (the typed enqueue wrappers know buffer, offset, and
-/// element count); kernels pass a span built with the `Reads`/`Writes`/
-/// `ReadsWrites` helpers in device.h. When a `HazardChecker` (see
-/// hazard_checker.h) is attached to the device, the declarations feed a
-/// command-DAG race analysis; when none is attached they cost one branch
-/// per enqueue. A kernel launched with an empty access-set is *opaque*:
-/// it is assumed to potentially touch anything, which suppresses
-/// use-before-initialization reports for buffers it may have produced
-/// but forfeits race checking for the ranges it touches.
+/// element count). Kernels declare theirs with typed accessors
+/// (`In`/`Out`/`InOut`/`InIf` in device.h, SYCL's accessor model): the
+/// accessor-form `EnqueueLaunch` builds the access set from the same
+/// accessor objects whose device pointers it hands the body, and a body
+/// has no other way to reach device memory (`DeviceBuffer::device_data`
+/// is private to this layer). So a declaration cannot omit a buffer the
+/// body touches. When a `HazardChecker` (see hazard_checker.h) is
+/// attached to the device, the declarations feed a command-DAG race
+/// analysis; when none is attached they cost one branch per enqueue. A
+/// kernel launched through the span form with an empty access-set is
+/// *opaque*: it is assumed to potentially touch anything, which
+/// suppresses use-before-initialization reports for buffers it may have
+/// produced. Such a body cannot reach device memory; the form serves
+/// empty launches and the hazard tests' declared-only commands.
 
 #ifndef FKDE_PARALLEL_COMMAND_QUEUE_H_
 #define FKDE_PARALLEL_COMMAND_QUEUE_H_
@@ -78,6 +84,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -96,8 +103,8 @@ enum class AccessMode : std::uint8_t { kRead, kWrite, kReadWrite };
 /// device buffer `buffer_id` (see `DeviceBuffer::buffer_id()`), touched
 /// with `mode`. A strided access repeats that range `runs` times,
 /// `pitch_bytes` apart (a rectangular copy, or a kernel reading the live
-/// prefix of every dim-major strip). Built via the typed `Reads`/
-/// `Writes`/`ReadsWrites` helpers in device.h rather than by hand.
+/// prefix of every dim-major strip). Built by the typed accessors (or
+/// the `Reads`/`Writes` helpers) in device.h rather than by hand.
 struct BufferAccess {
   std::uint64_t buffer_id = 0;
   std::size_t offset_bytes = 0;
@@ -233,6 +240,18 @@ class CommandQueue {
                       std::function<void(std::size_t, std::size_t)> body,
                       std::span<const BufferAccess> accesses = {},
                       std::span<const Event> wait_list = {});
+
+  /// Accessor form (defined in device.h): `accessors` is a tuple of
+  /// `In`/`Out`/`InOut`/`InIf` objects, and `body(begin, end, p...)`
+  /// receives one device pointer per accessor, in tuple order — the
+  /// first element each declares, or nullptr for a disabled `InIf`. The
+  /// access set passed to the span form above is built from the same
+  /// accessors on the stack. Scratch leases the accessors hold stay with
+  /// the command until it retires.
+  template <typename... A, typename Body>
+  Event EnqueueLaunch(const char* kernel_name, std::size_t global_size,
+                      double ops_per_item, const std::tuple<A...>& accessors,
+                      Body body, std::span<const Event> wait_list = {});
 
   /// Enqueues a host->device transfer of `n` elements into `dst` at
   /// element `offset`. `host` must stay valid until the command

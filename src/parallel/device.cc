@@ -277,41 +277,31 @@ double ReduceSum(Device* device, const DeviceBuffer<double>& buffer,
   const std::size_t first_groups = (n + kGroup - 1) / kGroup;
   CommandQueue* queue = device->default_queue();
   // Pooled scratch: reduction temporaries recycle across calls instead of
-  // allocating per reduction. The final blocking read-back drains the
-  // queue, so releasing the handles on return is safe.
-  ScratchBuffer scratch_a = device->AcquireScratch(first_groups);
-  ScratchBuffer scratch_b =
+  // allocating per reduction.
+  ScratchBuffer dst = device->AcquireScratch(first_groups);
+  ScratchBuffer spare =
       device->AcquireScratch((first_groups + kGroup - 1) / kGroup);
-  const double* in = buffer.device_data() + offset;
-  const DeviceBuffer<double>* in_buf = &buffer;
-  std::size_t in_off = offset;
-  DeviceBuffer<double>* dst = scratch_a.get();
-  DeviceBuffer<double>* spare = scratch_b.get();
+  In<double> level_in(buffer, offset, n);
   std::size_t active = n;
   for (;;) {
     const std::size_t groups = (active + kGroup - 1) / kGroup;
-    double* out = dst->device_data();
     const std::size_t level_size = active;
-    const double* level_in = in;
-    auto body = [level_in, out, level_size](std::size_t begin,
-                                            std::size_t end) {
-      for (std::size_t g = begin; g < end; ++g) {
-        const std::size_t lo = g * kGroup;
-        const std::size_t hi = std::min(lo + kGroup, level_size);
-        double acc = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) acc += level_in[i];
-        out[g] = acc;
-      }
-    };
-    const BufferAccess acc[] = {Reads(*in_buf, in_off, active),
-                                Writes(*dst, 0, groups)};
-    queue->EnqueueLaunch("reduce_sum_level", groups,
-                         static_cast<double>(kGroup), body, acc);
+    queue->EnqueueLaunch(
+        "reduce_sum_level", groups, static_cast<double>(kGroup),
+        std::tuple(level_in, Out(dst, 0, groups)),
+        [level_size](std::size_t begin, std::size_t end, const double* in,
+                     double* out) {
+          for (std::size_t g = begin; g < end; ++g) {
+            const std::size_t lo = g * kGroup;
+            const std::size_t hi = std::min(lo + kGroup, level_size);
+            double acc = 0.0;
+            for (std::size_t i = lo; i < hi; ++i) acc += in[i];
+            out[g] = acc;
+          }
+        });
     active = groups;
     if (active <= 1) break;
-    in = dst->device_data();
-    in_buf = dst;
-    in_off = 0;
+    level_in = In(dst, 0, active);
     std::swap(dst, spare);
   }
   double result = 0.0;
@@ -330,7 +320,7 @@ Event EnqueueReduceSumSegments(CommandQueue* queue,
                  "ReduceSumSegments range exceeds buffer");
   FKDE_CHECK_MSG(out_offset + num_segments <= out->size(),
                  "ReduceSumSegments output exceeds buffer");
-  FKDE_CHECK_MSG(out->device_data() != buffer.device_data(),
+  FKDE_CHECK_MSG(out->buffer_id() != buffer.buffer_id(),
                  "ReduceSumSegments output may not alias the input");
   if (num_segments == 0) return Event();
   constexpr std::size_t kGroup = kReduceGroupSize;
@@ -342,64 +332,51 @@ Event EnqueueReduceSumSegments(CommandQueue* queue,
   // scratch buffers; the final level (one group per segment) writes the
   // per-segment sums straight into `out`.
   if (segment_size == 0) {
-    double* final_out = out->device_data() + out_offset;
-    const BufferAccess acc[] = {Writes(*out, out_offset, num_segments)};
     return queue->EnqueueLaunch(
         "reduce_segments_zero", num_segments, 1.0,
-        [final_out](std::size_t begin, std::size_t end) {
-          for (std::size_t g = begin; g < end; ++g) final_out[g] = 0.0;
-        },
-        acc);
+        std::tuple(Out(*out, out_offset, num_segments)),
+        [](std::size_t begin, std::size_t end, double* sums) {
+          for (std::size_t g = begin; g < end; ++g) sums[g] = 0.0;
+        });
   }
   const std::size_t first_groups = (segment_size + kGroup - 1) / kGroup;
-  // Pooled ping-pong scratch: each level's kernel body captures the
-  // handles, so the buffers stay out of the pool until the last enqueued
-  // level's command is destroyed, then recycle for the next reduction.
-  ScratchBuffer scratch_a =
-      device->AcquireScratch(num_segments * first_groups);
-  ScratchBuffer scratch_b = device->AcquireScratch(
+  // Pooled ping-pong scratch: each level's accessors hold the scratch it
+  // reads and writes, so the buffers stay out of the pool until the last
+  // level using them retires, then recycle for the next reduction.
+  ScratchBuffer dst = device->AcquireScratch(num_segments * first_groups);
+  ScratchBuffer spare = device->AcquireScratch(
       num_segments * ((first_groups + kGroup - 1) / kGroup));
-  const double* in = buffer.device_data() + offset;
-  const DeviceBuffer<double>* in_buf = &buffer;
-  std::size_t in_off = offset;
-  std::size_t in_stride = segment_size;
-  DeviceBuffer<double>* dst = scratch_a.get();
-  DeviceBuffer<double>* spare = scratch_b.get();
+  In<double> level_in(buffer, offset, num_segments * segment_size);
   std::size_t active = segment_size;
+  std::size_t in_stride = segment_size;
   Event last;
   for (;;) {
     const std::size_t groups = (active + kGroup - 1) / kGroup;
-    double* level_out = groups == 1 ? out->device_data() + out_offset
-                                    : dst->device_data();
-    const double* level_in = in;
     const std::size_t level_size = active;
     const std::size_t level_stride = in_stride;
-    auto body = [scratch_a, scratch_b, level_in, level_out, level_size,
-                 level_stride, groups](std::size_t begin, std::size_t end) {
-      for (std::size_t item = begin; item < end; ++item) {
-        const std::size_t seg = item / groups;
-        const std::size_t lo = (item % groups) * kGroup;
-        const std::size_t hi = std::min(lo + kGroup, level_size);
-        const double* seg_in = level_in + seg * level_stride;
-        double acc = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) acc += seg_in[i];
-        level_out[item] = acc;
-      }
-      (void)scratch_a;
-      (void)scratch_b;
-    };
-    const BufferAccess acc[] = {
-        Reads(*in_buf, in_off, num_segments * level_stride),
-        groups == 1 ? Writes(*out, out_offset, num_segments)
-                    : Writes(*dst, 0, num_segments * groups)};
-    last = queue->EnqueueLaunch("reduce_segments_level",
-                                num_segments * groups,
-                                static_cast<double>(kGroup), body, acc);
+    last = queue->EnqueueLaunch(
+        "reduce_segments_level", num_segments * groups,
+        static_cast<double>(kGroup),
+        std::tuple(level_in, groups == 1
+                                 ? Out(*out, out_offset, num_segments)
+                                 : Out(dst, 0, num_segments * groups)),
+        [level_size, level_stride, groups](std::size_t begin,
+                                           std::size_t end,
+                                           const double* in,
+                                           double* level_out) {
+          for (std::size_t item = begin; item < end; ++item) {
+            const std::size_t seg = item / groups;
+            const std::size_t lo = (item % groups) * kGroup;
+            const std::size_t hi = std::min(lo + kGroup, level_size);
+            const double* seg_in = in + seg * level_stride;
+            double acc = 0.0;
+            for (std::size_t i = lo; i < hi; ++i) acc += seg_in[i];
+            level_out[item] = acc;
+          }
+        });
     if (groups == 1) break;
     active = groups;
-    in = dst->device_data();
-    in_buf = dst;
-    in_off = 0;
+    level_in = In(dst, 0, num_segments * groups);
     in_stride = groups;
     std::swap(dst, spare);
   }

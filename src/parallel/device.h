@@ -35,6 +35,7 @@
 #define FKDE_PARALLEL_DEVICE_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <functional>
@@ -42,6 +43,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -126,13 +129,20 @@ struct TransferLedger {
 
 class Device;
 
+namespace internal {
+template <typename T, AccessMode Mode>
+class Accessor;
+}  // namespace internal
+
 /// \brief Typed device-resident memory.
 ///
 /// Mirrors an OpenCL buffer: created via `Device::CreateBuffer`, filled via
 /// `Device::CopyToDevice`, and read back via `Device::CopyToHost`. Kernel
-/// functors access storage via `device_data()`. Move-only, like a real
-/// device allocation: copying would silently duplicate "device memory"
-/// without any metered transfer and mask transfer bugs.
+/// bodies reach storage only through the accessors they declare (`In`/
+/// `Out`/`InOut`/`InIf` below); the raw pointer is private to this layer.
+/// Move-only, like a real device allocation: copying would silently
+/// duplicate "device memory" without any metered transfer and mask
+/// transfer bugs.
 template <typename T>
 class DeviceBuffer {
  public:
@@ -163,15 +173,19 @@ class DeviceBuffer {
   /// buffer. Declared access-sets name buffers by this id.
   std::uint64_t buffer_id() const { return id_; }
 
-  /// Raw storage pointer — for use inside kernel functors only. Stable
-  /// across moves of the buffer object (the backing heap allocation moves
-  /// with it), which lets enqueued commands capture it safely as long as
-  /// the buffer outlives them.
+ private:
+  friend class Device;
+  friend class CommandQueue;
+  template <typename U, AccessMode Mode>
+  friend class internal::Accessor;
+
+  /// Raw storage pointer, for transfers and accessors only. Stable across
+  /// moves of the buffer object (the backing heap allocation moves with
+  /// it), which lets enqueued commands hold it safely as long as the
+  /// buffer outlives them.
   T* device_data() { return storage_.data(); }
   const T* device_data() const { return storage_.data(); }
 
- private:
-  friend class Device;
   explicit DeviceBuffer(std::size_t n)
       : storage_(n),
         id_(internal::BufferRegistry::Global().Register(n * sizeof(T))) {}
@@ -209,13 +223,13 @@ BufferAccess MakeAccess(const DeviceBuffer<T>& buffer, AccessMode mode,
 
 }  // namespace internal
 
-/// Access-set builders for kernel launches: the byte range covering `n`
-/// elements starting at element `offset` (defaults: the whole buffer),
-/// repeated `strips` times `pitch` elements apart for strided layouts.
-/// Example:
-///   const BufferAccess acc[] = {Reads(sample, 0, rows, capacity, d),
-///                               Writes(contributions)};
-///   queue->EnqueueLaunch("kde_contributions", s, d, body, acc);
+/// Access-set builders: the byte range covering `n` elements starting at
+/// element `offset` (defaults: the whole buffer), repeated `strips` times
+/// `pitch` elements apart for strided layouts. Transfers declare
+/// themselves with these; kernels declare through the accessors below,
+/// which yield exactly these entries. A hand-built span serves only
+/// launches whose body touches no device memory (the hazard tests'
+/// declared-only commands).
 template <typename T>
 BufferAccess Reads(const DeviceBuffer<T>& buffer, std::size_t offset = 0,
                    std::size_t n = kWholeBuffer, std::size_t pitch = 0,
@@ -232,11 +246,102 @@ BufferAccess Writes(const DeviceBuffer<T>& buffer, std::size_t offset = 0,
                               strips);
 }
 
+namespace internal {
+
+/// One declared buffer access plus the device pointer a kernel body
+/// receives for it: the shared core of `In`/`Out`/`InOut`/`InIf`. The
+/// declaration is what `Reads`/`Writes` build from the same arguments
+/// (with `AccessMode::kReadWrite` for `InOut`); the pointer is the first
+/// declared element. Only the launch lowering (`CommandQueue`) can read
+/// the pointer, so a body holds exactly the device memory its launch
+/// declared. Built over a `ScratchBuffer`, the accessor also holds the
+/// lease, which the command keeps until it retires.
+template <typename T, AccessMode Mode>
+class Accessor {
+ public:
+  using Pointer = std::conditional_t<Mode == AccessMode::kRead, const T*, T*>;
+  using Buffer = std::conditional_t<Mode == AccessMode::kRead,
+                                    const DeviceBuffer<T>, DeviceBuffer<T>>;
+
+  /// Declares nothing; the body receives nullptr.
+  Accessor() = default;
+  Accessor(Buffer& buffer, std::size_t offset = 0,
+           std::size_t n = kWholeBuffer, std::size_t pitch = 0,
+           std::size_t strips = 1)
+      : access_(MakeAccess(buffer, Mode, offset, n, pitch, strips)),
+        pointer_(buffer.device_data() + offset),
+        declared_(true) {}
+  Accessor(const std::shared_ptr<DeviceBuffer<T>>& scratch,
+           std::size_t offset = 0, std::size_t n = kWholeBuffer,
+           std::size_t pitch = 0, std::size_t strips = 1)
+      : Accessor(*scratch, offset, n, pitch, strips) {
+    lease_ = scratch;
+  }
+
+  /// The entry this accessor adds to its launch's access set.
+  const BufferAccess& access() const { return access_; }
+  /// False only for a disabled `InIf`: no entry, nullptr pointer.
+  bool declared() const { return declared_; }
+
+ private:
+  friend class fkde::CommandQueue;
+
+  BufferAccess access_;
+  Pointer pointer_ = nullptr;
+  bool declared_ = false;
+  std::shared_ptr<const void> lease_;
+};
+
+}  // namespace internal
+
+/// Typed accessors for the accessor form of `EnqueueLaunch`/`Launch`:
+/// a read (`In`), a write (`Out`) or both (`InOut`) of `n` elements from
+/// element `offset` (defaults: the whole buffer), repeated `strips` times
+/// `pitch` elements apart for strided layouts. Each takes a
+/// `DeviceBuffer` or a pooled `ScratchBuffer`. Example:
+///   queue->EnqueueLaunch(
+///       "kde_contributions", s, d,
+///       std::tuple(In(sample, 0, rows, capacity, d), Out(contributions)),
+///       [](std::size_t begin, std::size_t end, const float* x,
+///          double* contrib) { ... });
 template <typename T>
-BufferAccess ReadsWrites(const DeviceBuffer<T>& buffer, std::size_t offset = 0,
-                         std::size_t n = kWholeBuffer) {
-  return internal::MakeAccess(buffer, AccessMode::kReadWrite, offset, n, 0, 1);
-}
+struct In : internal::Accessor<T, AccessMode::kRead> {
+  using internal::Accessor<T, AccessMode::kRead>::Accessor;
+};
+template <typename T>
+struct Out : internal::Accessor<T, AccessMode::kWrite> {
+  using internal::Accessor<T, AccessMode::kWrite>::Accessor;
+};
+template <typename T>
+struct InOut : internal::Accessor<T, AccessMode::kReadWrite> {
+  using internal::Accessor<T, AccessMode::kReadWrite>::Accessor;
+};
+
+template <typename T, typename... R>
+In(const DeviceBuffer<T>&, R...) -> In<T>;
+template <typename T, typename... R>
+In(const std::shared_ptr<DeviceBuffer<T>>&, R...) -> In<T>;
+template <typename T, typename... R>
+Out(DeviceBuffer<T>&, R...) -> Out<T>;
+template <typename T, typename... R>
+Out(const std::shared_ptr<DeviceBuffer<T>>&, R...) -> Out<T>;
+template <typename T, typename... R>
+InOut(DeviceBuffer<T>&, R...) -> InOut<T>;
+template <typename T, typename... R>
+InOut(const std::shared_ptr<DeviceBuffer<T>>&, R...) -> InOut<T>;
+
+/// A read that is declared only when `enabled` (an optional input such
+/// as the variable-KDE point scales): disabled, it adds no entry and the
+/// body receives nullptr.
+template <typename T>
+struct InIf : internal::Accessor<T, AccessMode::kRead> {
+  InIf(bool enabled, const DeviceBuffer<T>& buffer, std::size_t offset = 0,
+       std::size_t n = kWholeBuffer)
+      : internal::Accessor<T, AccessMode::kRead>(
+            enabled ? internal::Accessor<T, AccessMode::kRead>(buffer, offset,
+                                                               n)
+                    : internal::Accessor<T, AccessMode::kRead>()) {}
+};
 
 /// \brief Counters of a device's scratch-buffer pool (see
 /// `Device::AcquireScratch`). A *hit* reuses a parked buffer — no
@@ -366,6 +471,17 @@ class Device {
               double ops_per_item,
               const std::function<void(std::size_t, std::size_t)>& body,
               std::span<const BufferAccess> accesses = {});
+
+  /// Blocking accessor form (see `CommandQueue::EnqueueLaunch`).
+  template <typename... A, typename Body>
+  void Launch(const char* kernel_name, std::size_t global_size,
+              double ops_per_item, const std::tuple<A...>& accessors,
+              Body body) {
+    default_queue_
+        ->EnqueueLaunch(kernel_name, global_size, ops_per_item, accessors,
+                        std::move(body))
+        .Wait();
+  }
 
   /// Attaches a fresh hazard checker in `mode` (replacing any current
   /// one), or detaches with `HazardMode::kOff`. Overrides the
@@ -523,6 +639,41 @@ Event CommandQueue::EnqueueCopyRectToHost(const DeviceBuffer<T>& src,
                           pitch * sizeof(T), n * sizeof(T), strips,
                           /*to_device=*/false,
                           Reads(src, offset, n, pitch, strips), wait_list);
+}
+
+template <typename... A, typename Body>
+Event CommandQueue::EnqueueLaunch(const char* kernel_name,
+                                  std::size_t global_size,
+                                  double ops_per_item,
+                                  const std::tuple<A...>& accessors,
+                                  Body body,
+                                  std::span<const Event> wait_list) {
+  static_assert(sizeof...(A) > 0,
+                "an accessor launch declares at least one accessor");
+  // The declared set lives on the stack: the span form copies what the
+  // hazard checker needs at enqueue.
+  BufferAccess declared[sizeof...(A)];
+  std::size_t count = 0;
+  const auto pointers = std::apply(
+      [&](const A&... a) {
+        ((a.declared_ ? (void)(declared[count++] = a.access_) : (void)0),
+         ...);
+        return std::tuple(a.pointer_...);
+      },
+      accessors);
+  auto leases = std::apply(
+      [](const A&... a) {
+        return std::array<std::shared_ptr<const void>, sizeof...(A)>{
+            a.lease_...};
+      },
+      accessors);
+  return EnqueueLaunch(
+      kernel_name, global_size, ops_per_item,
+      [body = std::move(body), pointers, leases = std::move(leases)](
+          std::size_t begin, std::size_t end) {
+        std::apply([&](auto... p) { body(begin, end, p...); }, pointers);
+      },
+      std::span<const BufferAccess>(declared, count), wait_list);
 }
 
 template <typename T>

@@ -1,31 +1,26 @@
-// fkde-lint fixture: cross-TU access-set clean pattern. Same launch
-// as cross_tu_violating.cc, but the access set declares every buffer
-// the out-of-TU view builder packs — so the linked (whole-program)
-// analysis has nothing to flag.
+// fkde-lint fixture: cross-TU hot-alloc clean pattern. Same launch as
+// cross_tu_violating.cc, but the kernel calls WeightInline, whose
+// linked summary (cross_tu_helper.cc) records no allocation — so the
+// whole-program analysis has nothing to flag.
+#include <tuple>
+
 #include "parallel/command_queue.h"
 #include "parallel/device.h"
 
 namespace fkde {
 
-struct EstimateView;
-EstimateView PackEstimateView(DeviceBuffer<double>& in,
-                              DeviceBuffer<double>& weights,
-                              DeviceBuffer<double>& out);
+double WeightInline(double x);
 
-void WeightedEstimate(CommandQueue* queue, DeviceBuffer<double>& in,
-                      DeviceBuffer<double>& weights,
+void WeightedEstimate(CommandQueue* queue, const DeviceBuffer<double>& in,
                       DeviceBuffer<double>& out, std::size_t rows) {
-  const auto view = PackEstimateView(in, weights, out);
-  const BufferAccess acc[] = {Reads(in, 0, rows), Reads(weights, 0, rows),
-                              Writes(out, 0, rows)};
   queue->EnqueueLaunch(
       "fixture_cross_tu_clean", rows, 1.0,
-      [view](std::size_t begin, std::size_t end) {
+      std::tuple(In(in, 0, rows), Out(out, 0, rows)),
+      [](std::size_t begin, std::size_t end, const double* x, double* y) {
         for (std::size_t i = begin; i < end; ++i) {
-          view.out[i] = view.data[i] * view.weights[i];
+          y[i] = WeightInline(x[i]);
         }
-      },
-      acc);
+      });
 }
 
 }  // namespace fkde

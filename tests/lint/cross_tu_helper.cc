@@ -1,28 +1,19 @@
-// fkde-lint fixture: helper TU for the cross-TU access-set pair. The
-// view builder below packs device pointers for a fused kernel exactly
-// like src/kde/engine.cc's shard views. Analyzed alone this TU is
-// clean (it launches nothing); its value is the exported summary —
-// "PackEstimateView packs the device data of in, weights and out" —
-// which pass 2 links into cross_tu_violating.cc / cross_tu_clean.cc.
-#include "parallel/command_queue.h"
-#include "parallel/device.h"
+// fkde-lint fixture: helper TU for the cross-TU hot-alloc pair. It
+// defines the per-point helpers the kernels in cross_tu_violating.cc /
+// cross_tu_clean.cc call. Analyzed alone this TU is clean (it launches
+// nothing and has no FKDE_HOT function); its value is the exported
+// summary — "WeightFromTable allocates" — which pass 2 links into the
+// kernel TUs.
+#include <vector>
 
 namespace fkde {
 
-struct EstimateView {
-  const double* data;
-  const double* weights;
-  double* out;
-};
-
-EstimateView PackEstimateView(DeviceBuffer<double>& in,
-                              DeviceBuffer<double>& weights,
-                              DeviceBuffer<double>& out) {
-  EstimateView v;
-  v.data = in.device_data();
-  v.weights = weights.device_data();
-  v.out = out.device_data();
-  return v;
+double WeightFromTable(double x) {
+  std::vector<double> table;
+  table.push_back(0.5);
+  return table.front() * x;
 }
+
+double WeightInline(double x) { return 0.5 * x; }
 
 }  // namespace fkde

@@ -1,35 +1,30 @@
-// fkde-lint fixture: cross-TU access-set violation. The kernel's
-// buffer uses are hidden behind PackEstimateView, which is DEFINED in
-// cross_tu_helper.cc — a different TU. Analyzed alone, the capture is
-// opaque and the per-TU analyzer must stay conservative (no finding:
-// see lint_cross_tu_per_tu_opaque). With the helper's summary linked
-// in (whole-program or --summaries), the view expands to
-// {in, weights, out} and the missing Reads(weights) declaration is
-// caught. Expected diagnostics for the linked run are pinned in
-// cross_tu_violating.expected.
+// fkde-lint fixture: cross-TU hot-alloc violation. The kernel body calls
+// WeightFromTable, which is DEFINED in cross_tu_helper.cc — a different
+// TU — and allocates there. Analyzed alone, the callee is opaque and the
+// per-TU analyzer must stay conservative (no finding: see
+// lint_cross_tu_per_tu_opaque). With the helper's summary linked in
+// (whole-program or --summaries), the callee's facts say it allocates
+// and the call inside the kernel is caught. Expected diagnostics for
+// the linked run are pinned in cross_tu_violating.expected.
+#include <tuple>
+
 #include "parallel/command_queue.h"
 #include "parallel/device.h"
 
 namespace fkde {
 
-struct EstimateView;
-EstimateView PackEstimateView(DeviceBuffer<double>& in,
-                              DeviceBuffer<double>& weights,
-                              DeviceBuffer<double>& out);
+double WeightFromTable(double x);
 
-void WeightedEstimate(CommandQueue* queue, DeviceBuffer<double>& in,
-                      DeviceBuffer<double>& weights,
+void WeightedEstimate(CommandQueue* queue, const DeviceBuffer<double>& in,
                       DeviceBuffer<double>& out, std::size_t rows) {
-  const auto view = PackEstimateView(in, weights, out);
-  const BufferAccess acc[] = {Reads(in, 0, rows), Writes(out, 0, rows)};
   queue->EnqueueLaunch(
       "fixture_cross_tu", rows, 1.0,
-      [view](std::size_t begin, std::size_t end) {
+      std::tuple(In(in, 0, rows), Out(out, 0, rows)),
+      [](std::size_t begin, std::size_t end, const double* x, double* y) {
         for (std::size_t i = begin; i < end; ++i) {
-          view.out[i] = view.data[i] * view.weights[i];
+          y[i] = WeightFromTable(x[i]);
         }
-      },
-      acc);
+      });
 }
 
 }  // namespace fkde

@@ -1,6 +1,8 @@
 // fkde-lint fixture: allocation-free hot paths. Analyzed (not
 // compiled) by `ctest -L lint`; must produce zero findings. Stack
 // arrays and pre-acquired scratch are the sanctioned patterns.
+#include <tuple>
+
 #include "common/annotations.h"
 #include "parallel/command_queue.h"
 #include "parallel/device.h"
@@ -24,19 +26,15 @@ FKDE_HOT double SumWithStackArray(const double* x, std::size_t d) {
 void KernelWithScratch(Device* dev, CommandQueue* queue,
                        DeviceBuffer<double>& out, std::size_t rows) {
   ScratchBuffer tmp = dev->AcquireScratch(rows);
-  double* t = tmp->device_data();
-  double* b = out.device_data();
-  const BufferAccess acc[] = {Writes(*tmp, 0, rows), Writes(out, 0, rows)};
   queue->EnqueueLaunch(
       "fixture_kernel_scratch", rows, 1.0,
-      [tmp, t, b](std::size_t begin, std::size_t end) {
+      std::tuple(Out(tmp, 0, rows), Out(out, 0, rows)),
+      [](std::size_t begin, std::size_t end, double* t, double* b) {
         for (std::size_t i = begin; i < end; ++i) {
           t[i] = 1.0;
           b[i] = t[i];
         }
-      },
-      acc);
-  queue->Finish();
+      });
 }
 
 }  // namespace fkde

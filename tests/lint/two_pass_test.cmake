@@ -3,9 +3,9 @@
 #   pass 1: analyze the helper TU alone and --emit-summaries its
 #           serialized TuSummary (must itself be clean);
 #   pass 2: analyze the violating TU with --summaries pointing at the
-#           bundle from pass 1 — the out-of-TU view builder resolves
-#           and the hidden access-set violation is caught, pinned
-#           against cross_tu_violating.expected.
+#           bundle from pass 1 — the out-of-TU callee's facts resolve
+#           and the allocation hidden behind it inside a kernel body is
+#           caught, pinned against cross_tu_violating.expected.
 #
 # Run via: cmake -DTOOL=... -DFIXTURES=... -DWORKDIR=... -P two_pass_test.cmake
 

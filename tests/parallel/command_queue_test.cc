@@ -75,9 +75,8 @@ TEST(CommandQueue, TransfersAndKernelsInterleaveInOrder) {
   CommandQueue* queue = device.default_queue();
   const std::vector<double> init = {1.0, 2.0, 3.0, 4.0};
   queue->EnqueueCopyToDevice(init.data(), 4, &buffer);
-  double* data = buffer.device_data();
-  queue->EnqueueLaunch("double", 4, 1.0,
-                       [data](std::size_t begin, std::size_t end) {
+  queue->EnqueueLaunch("double", 4, 1.0, std::tuple(InOut(buffer)),
+                       [](std::size_t begin, std::size_t end, double* data) {
                          for (std::size_t i = begin; i < end; ++i) {
                            data[i] *= 2.0;
                          }

@@ -1,6 +1,7 @@
 #include "parallel/device.h"
 
 #include <numeric>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -62,12 +63,12 @@ TEST(Device, LedgerCountsBytesAndTransfers) {
 TEST(Device, LaunchExecutesKernelBody) {
   Device device(DeviceProfile::OpenClCpu());
   auto buffer = device.CreateBuffer<double>(1000);
-  double* data = buffer.device_data();
-  device.Launch("fill", 1000, 1.0, [data](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      data[i] = static_cast<double>(i) * 2.0;
-    }
-  });
+  device.Launch("fill", 1000, 1.0, std::tuple(Out(buffer)),
+                [](std::size_t begin, std::size_t end, double* data) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    data[i] = static_cast<double>(i) * 2.0;
+                  }
+                });
   std::vector<double> out(1000);
   device.CopyToHost(buffer, 0, 1000, out.data());
   EXPECT_DOUBLE_EQ(out[0], 0.0);
@@ -220,13 +221,84 @@ TEST(Device, RectCopyMovesEveryStripRun) {
   EXPECT_EQ(device.ledger().bytes_to_host, block.size() * sizeof(double));
 }
 
+/// The device pointer a kernel body receives for an `Out` accessor over
+/// `buffer` from element `offset` on.
+const double* BodyPointer(Device& device, DeviceBuffer<double>& buffer,
+                          std::size_t offset = 0) {
+  const double* seen = nullptr;
+  device.Launch("probe", 1, 1.0, std::tuple(Out(buffer, offset, 1)),
+                [&seen](std::size_t, std::size_t, double* p) { seen = p; });
+  return seen;
+}
+
 TEST(DeviceBuffer, MoveKeepsStoragePointerStable) {
   Device device(DeviceProfile::OpenClCpu());
   auto buffer = device.CreateBuffer<double>(64);
-  const double* data = buffer.device_data();
+  const double* data = BodyPointer(device, buffer);
   DeviceBuffer<double> moved = std::move(buffer);
-  EXPECT_EQ(moved.device_data(), data);
+  EXPECT_EQ(BodyPointer(device, moved), data);
   EXPECT_EQ(moved.size(), 64u);
+}
+
+void ExpectSameAccess(const BufferAccess& a, const BufferAccess& b) {
+  EXPECT_EQ(a.buffer_id, b.buffer_id);
+  EXPECT_EQ(a.offset_bytes, b.offset_bytes);
+  EXPECT_EQ(a.length_bytes, b.length_bytes);
+  EXPECT_EQ(a.mode, b.mode);
+  EXPECT_EQ(a.pitch_bytes, b.pitch_bytes);
+  EXPECT_EQ(a.runs, b.runs);
+}
+
+TEST(Accessor, DeclaresWhatReadsAndWritesDeclare) {
+  Device device(DeviceProfile::OpenClCpu());
+  auto sample = device.CreateBuffer<float>(4 * 100);
+  auto out = device.CreateBuffer<double>(64);
+  ScratchBuffer scratch = device.AcquireScratch(300);
+  // The strided sample read: the live prefix of 4 strips, pitch 100.
+  ExpectSameAccess(In(sample, 0, 37, 100, 4).access(),
+                   Reads(sample, 0, 37, 100, 4));
+  ExpectSameAccess(In(sample).access(), Reads(sample));
+  ExpectSameAccess(In(out, 5, 7).access(), Reads(out, 5, 7));
+  ExpectSameAccess(Out(out).access(), Writes(out));
+  ExpectSameAccess(Out(out, 8, 16, 20, 2).access(),
+                   Writes(out, 8, 16, 20, 2));
+  BufferAccess read_write = Reads(out, 3, 9);
+  read_write.mode = AccessMode::kReadWrite;
+  ExpectSameAccess(InOut(out, 3, 9).access(), read_write);
+  ExpectSameAccess(Out(scratch, 10, 200).access(),
+                   Writes(*scratch, 10, 200));
+  ExpectSameAccess(InIf(true, sample, 0, 37).access(), Reads(sample, 0, 37));
+  EXPECT_TRUE(InIf(true, sample).declared());
+  EXPECT_FALSE(InIf(false, sample).declared());
+}
+
+TEST(Accessor, BodyPointerIsTheFirstDeclaredElement) {
+  Device device(DeviceProfile::OpenClCpu());
+  auto buffer = device.CreateBuffer<double>(64);
+  const double* base = BodyPointer(device, buffer);
+  ASSERT_NE(base, nullptr);
+  EXPECT_EQ(BodyPointer(device, buffer, 5), base + 5);
+}
+
+TEST(Accessor, DisabledConditionalDeclaresNothingAndHandsNullptr) {
+  Device device(DeviceProfile::OpenClCpu());
+  device.EnableHazardChecking(HazardMode::kDeferred);
+  auto scales = device.CreateBuffer<float>(16);
+  auto out = device.CreateBuffer<double>(16);
+  bool ran = false;
+  bool got_nullptr = false;
+  device.Launch("optional_scales", 1, 1.0,
+                std::tuple(InIf(false, scales), Out(out)),
+                [&](std::size_t, std::size_t, const float* s, double* o) {
+                  got_nullptr = s == nullptr;
+                  o[0] = 1.0;
+                  ran = true;
+                });
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(got_nullptr);
+  // Declared, the never-written scales would be a use-before-init read;
+  // disabled, the launch declares only its write.
+  EXPECT_TRUE(device.hazard_checker()->Validate().empty());
 }
 
 TEST(Device, TransferTimeUsesBandwidth) {

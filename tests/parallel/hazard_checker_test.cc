@@ -373,14 +373,13 @@ TEST(HazardPositive, ShardedBatchGradientValidatesClean) {
 // registry, and the draining queue destructor.
 
 // ---------------------------------------------------------------------------
-// Regression: the scott_moments view surface (found by fkde-lint's
-// access-set check). The moments kernel received a ShardKernelView
-// packing a `bandwidth_dev` pointer its declared access set omitted —
-// undeclared accesses are invisible here: the checker reasons only over
-// declared sets, so had the kernel dereferenced that pointer, a
-// concurrent bandwidth write would have raced it silently. The fix
-// trims the view (KdeEngine::MomentsView packs only the sample buffers
-// kb::Moments reads — the bandwidth the moments *derive* is not even
+// Regression: the scott_moments view surface. The moments kernel once
+// received a ShardKernelView packing a `bandwidth_dev` pointer its
+// declared access set omitted — undeclared accesses are invisible here:
+// the checker reasons only over declared sets, so had the kernel
+// dereferenced that pointer, a concurrent bandwidth write would have
+// raced it silently. The moments launch now declares only the sample
+// read kb::Moments needs (the bandwidth the moments *derive* is not even
 // initialized yet; declaring the read instead trips use-before-init).
 // The pair below pins both halves of why the static rule exists: an
 // undeclared surface is invisible, a declared one is ordered.
@@ -401,7 +400,8 @@ TEST(HazardRegression, UndeclaredViewPointerHidesBandwidthRace) {
   side.Finish();
   device.default_queue()->Finish();
   // A genuine race, but no report: declared sets are the checker's whole
-  // world. fkde-lint's access-set check closes this gap statically.
+  // world. The typed accessors close this gap at compile time: a body
+  // reaches only the buffers its launch declared.
   EXPECT_TRUE(checker->Validate().empty());
 }
 

@@ -1,5 +1,5 @@
 /// \file checks.cc
-/// \brief Implementations of the seven fkde-lint checks over
+/// \brief Implementations of the six fkde-lint checks over
 /// SourceFile, optionally linked through a whole-program index.
 
 #include "checks.h"
@@ -15,17 +15,6 @@ namespace {
 bool Enabled(const std::vector<std::string>& enabled, const char* name) {
   if (enabled.empty()) return true;
   return std::find(enabled.begin(), enabled.end(), name) != enabled.end();
-}
-
-/// True when `name`'s alias class contains a key seen in a buffer
-/// position (Reads/Writes subject, device_data, CreateBuffer,
-/// AcquireScratch).
-bool ClassBufferish(const FunctionInfo& fn, const std::string& name) {
-  const std::string rep = fn.Find(name);
-  for (const std::string& b : fn.bufferish) {
-    if (fn.Find(b) == rep) return true;
-  }
-  return false;
 }
 
 /// A name escapes when it is a parameter, is returned, is bound to
@@ -51,122 +40,6 @@ void Emit(std::vector<Finding>& out, const SourceFile& sf,
     }
   }
   out.push_back(std::move(f));
-}
-
-// ------------------------------------------------------------------ //
-// access-set
-
-struct Use {
-  std::string display;  ///< A name to print (capture or summary key).
-  bool from_summary = false;
-};
-
-/// Resolves a callee name to a view summary: same-TU summaries first,
-/// then the whole-program index (null in per-TU mode).
-const ViewSummary* ResolveView(const SourceFile& sf,
-                               const ProgramIndex* program,
-                               const std::string& callee) {
-  auto sit = sf.summaries.find(callee);
-  if (sit != sf.summaries.end() && !sit->second.keys.empty()) {
-    return &sit->second;
-  }
-  if (program) {
-    const ViewSummary* vs = program->View(callee);
-    if (vs && !vs->keys.empty()) return vs;
-  }
-  return nullptr;
-}
-
-void CheckAccessSet(const SourceFile& sf, const FunctionInfo& fn,
-                    const ProgramIndex* program, std::vector<Finding>& out) {
-  const TokenStream& ts = sf.stream;
-  for (const LaunchSite& ls : fn.launches) {
-    if (ls.forwarded) continue;
-    const std::string kname =
-        ls.kernel_name.empty() ? fn.name : ls.kernel_name;
-    if (!ls.has_accesses) {
-      Emit(out, sf, "access-set", ls.line,
-           "kernel '" + kname +
-               "' is launched with an empty access set (opaque to the "
-               "hazard checker)");
-      continue;
-    }
-    if (!ls.body_resolved) continue;  // Nothing to compare against.
-
-    std::map<std::string, Use> uses;  // class rep -> info
-    bool staleness_ok = true;
-    auto add_use = [&](const std::string& key, bool from_summary) {
-      const std::string rep = fn.Find(key);
-      auto [it, inserted] = uses.try_emplace(rep, Use{key, from_summary});
-      if (!inserted && it->second.from_summary && !from_summary) {
-        it->second = Use{key, false};
-      }
-    };
-
-    for (const std::string& c : ls.body.captures) {
-      auto cr = fn.call_refs.find(c);
-      if (cr != fn.call_refs.end()) {
-        if (const ViewSummary* vs = ResolveView(sf, program, cr->second)) {
-          for (const auto& [key, cond] : vs->keys) {
-            add_use(key, true);
-          }
-          continue;
-        }
-      }
-      if (ClassBufferish(fn, c)) {
-        add_use(c, false);
-        continue;
-      }
-      if (fn.benign.count(c)) continue;
-      // Unknown capture: completeness still runs on what we resolved,
-      // but a stale-declaration verdict would be unsafe.
-      staleness_ok = false;
-    }
-    if (ls.body.capture_default) {
-      for (std::size_t j = ls.body.body_begin + 1; j < ls.body.body_end;
-           ++j) {
-        if (ts.tokens[j].kind != TokKind::kIdent) continue;
-        const std::string id(ts.tokens[j].text);
-        auto cr = fn.call_refs.find(id);
-        if (cr != fn.call_refs.end()) {
-          if (const ViewSummary* vs = ResolveView(sf, program, cr->second)) {
-            for (const auto& [key, cond] : vs->keys) {
-              add_use(key, true);
-            }
-            continue;
-          }
-        }
-        if (ClassBufferish(fn, id)) add_use(id, false);
-      }
-    }
-    // Direct buffer touches inside the body.
-    for (std::size_t j = ls.body.body_begin + 1; j < ls.body.body_end;
-         ++j) {
-      if (IsIdent(ts.tokens[j], "device_data")) {
-        const std::string key = DeviceDataChainKey(ts, j);
-        if (!key.empty()) add_use(key, false);
-      }
-    }
-
-    std::set<std::string> declared;
-    for (const AccessEntry& e : ls.entries) {
-      declared.insert(fn.Find(e.key));
-    }
-    for (const auto& [rep, use] : uses) {
-      if (declared.count(rep)) continue;
-      Emit(out, sf, "access-set", ls.line,
-           "kernel '" + kname + "' touches buffer '" + use.display +
-               "' that is missing from its declared access set");
-    }
-    if (staleness_ok) {
-      for (const AccessEntry& e : ls.entries) {
-        if (uses.count(fn.Find(e.key))) continue;
-        Emit(out, sf, "access-set", e.line,
-             "access set declares buffer '" + e.key + "' that kernel '" +
-                 kname + "' never touches (stale declaration)");
-      }
-    }
-  }
 }
 
 // ------------------------------------------------------------------ //
@@ -379,14 +252,19 @@ void CheckScratchLifetime(const SourceFile& sf, const FunctionInfo& fn,
       }
     }
     if (last_async == 0) continue;  // Only used by blocking calls.
-    // Held alive by a kernel capture? Only a ScratchBuffer-valued name
-    // (shared_ptr copy) extends the lifetime — a raw pointer from
-    // `device_data()` shares the alias class but not the ownership.
+    // Held alive by a launch? An accessor over the handle leases it to
+    // the command, and so does a kernel capture of it. Only a
+    // ScratchBuffer-valued name (shared_ptr copy) extends the lifetime —
+    // a dereferenced `*handle` shares the alias class but not the
+    // ownership.
     const auto holds = [&](const std::string& name) {
       return fn.scratch_handles.count(name) != 0 && fn.Find(name) == rep;
     };
     bool held = false;
     for (const LaunchSite& ls : fn.launches) {
+      for (const std::string& b : ls.accessor_buffers) {
+        if (holds(b)) held = true;
+      }
       if (!ls.body_resolved) continue;
       for (const std::string& c : ls.body.captures) {
         if (holds(c)) held = true;
@@ -416,7 +294,8 @@ void CheckScratchLifetime(const SourceFile& sf, const FunctionInfo& fn,
     Emit(out, sf, "scratch-lifetime", sc.line,
          "scratch '" + sc.lhs_terminal +
              "' may be released before queued work that references it "
-             "completes (no hold capture or blocking point)");
+             "completes (no accessor lease, hold capture or blocking "
+             "point)");
   }
 }
 
@@ -573,9 +452,6 @@ std::vector<Finding> RunChecks(const SourceFile& sf,
   std::vector<Finding> out;
   if (sf.io_error) return out;
   for (const FunctionInfo& fn : sf.functions) {
-    if (Enabled(enabled, "access-set")) {
-      CheckAccessSet(sf, fn, program, out);
-    }
     if (Enabled(enabled, "readback-sync")) {
       CheckReadbackSync(sf, fn, program, out);
     }

@@ -1,18 +1,17 @@
 /// \file checks.h
-/// \brief The seven fkde-lint checks and their findings.
+/// \brief The six fkde-lint checks and their findings.
 ///
 /// Check names (used in diagnostics, `--checks`, and the
 /// `FKDE_LINT_SUPPRESS(name)` escape hatch):
 ///
-///   * `access-set`       — kernel capture/declaration completeness and
-///                          staleness at EnqueueLaunch / Device::Launch.
 ///   * `readback-sync`    — every EnqueueCopyToHost result reaches an
 ///                          Event::Wait / Queue::Finish (or escapes to a
 ///                          caller who can wait).
 ///   * `hot-alloc`        — no allocation inside kernel bodies or
 ///                          FKDE_HOT functions.
-///   * `scratch-lifetime` — AcquireScratch handles are parked, held by
-///                          the kernel, or outlive a blocking point.
+///   * `scratch-lifetime` — AcquireScratch handles are parked, leased to
+///                          a launch (accessor or capture), or outlive a
+///                          blocking point.
 ///   * `lock-discipline`  — the catalog registry mutex (any mutex whose
 ///                          name contains "registry") is never held
 ///                          across a per-entry mutex acquire, a blocking
@@ -26,9 +25,9 @@
 ///                          is written by both the save and restore
 ///                          paths or carries FKDE_SNAPSHOT_EXCLUDE.
 ///
-/// The first six run per function; when a `ProgramIndex` is supplied
-/// they additionally resolve out-of-TU callees through function facts
-/// and cross-TU view summaries. snapshot-completeness is a
+/// The first five run per function; when a `ProgramIndex` is supplied
+/// they additionally resolve out-of-TU callees through function facts.
+/// snapshot-completeness is a
 /// program-level check over the merged index (per-TU invocations get a
 /// single-TU index, so it only fires when class and codec share a TU).
 
@@ -44,7 +43,7 @@
 namespace fkde_lint {
 
 struct Finding {
-  std::string check;    ///< One of the seven check names.
+  std::string check;    ///< One of the six check names.
   std::string path;
   int line = 0;
   std::string message;
@@ -52,9 +51,8 @@ struct Finding {
 };
 
 inline constexpr const char* kAllChecks[] = {
-    "access-set",      "readback-sync",      "hot-alloc",
-    "scratch-lifetime", "lock-discipline",   "streaming-lifecycle",
-    "snapshot-completeness"};
+    "readback-sync",   "hot-alloc",          "scratch-lifetime",
+    "lock-discipline", "streaming-lifecycle", "snapshot-completeness"};
 
 /// Runs every per-function check in `enabled` (empty = all) over one
 /// modeled file. Findings covered by a FKDE_LINT_SUPPRESS comment are

@@ -3,8 +3,8 @@
 ///
 /// fkde-lint's bundled frontend works on raw (un-preprocessed) token
 /// streams: the project's command-stream discipline is expressed in a
-/// small, idiomatic surface syntax (`EnqueueLaunch`, `Reads`/`Writes`/
-/// `ReadsWrites`, `AcquireScratch`, lambda kernel bodies), so a faithful
+/// small, idiomatic surface syntax (`EnqueueLaunch`, `In`/`Out`
+/// accessors, `AcquireScratch`, lambda kernel bodies), so a faithful
 /// lexer plus bracket matching recovers everything the checks need
 /// without a full C++ frontend. A Clang LibTooling frontend producing
 /// the same SourceFile model is the planned drop-in upgrade (see

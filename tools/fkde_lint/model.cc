@@ -5,17 +5,15 @@
 /// The extraction is a handful of linear passes per function body:
 ///
 ///   1. parameter registration,
-///   2. a statement pass (aliasing, declarations, access arrays,
-///      scratch/readback/enqueue sites, named lambdas, returns),
+///   2. a statement pass (aliasing, declarations, scratch/readback/
+///      enqueue sites, named lambdas, returns),
 ///   3. a synchronization pass (Wait/Finish/blocking calls),
-///   4. launch-site resolution (nearest-preceding access array and
-///      lambda variable by token position),
-///   5. escape/benign finalization.
+///   4. launch-site resolution (kernel body by token position, accessor
+///      buffers),
+///   5. escape finalization.
 ///
 /// Precision notes live next to the code they concern; the guiding rule
-/// is "no false positives on the real codebase": where the token model
-/// cannot decide, it degrades toward silence for staleness-style checks
-/// while keeping completeness checks intact.
+/// is "no false positives on the real codebase".
 
 #include "model.h"
 
@@ -44,14 +42,15 @@ bool IsControlKeyword(std::string_view s) {
          s == "co_await" || s == "co_return" || s == "throw";
 }
 
-bool IsAccessBuilder(std::string_view s) {
-  return s == "Reads" || s == "Writes" || s == "ReadsWrites";
-}
-
 /// A bracket token that opens a balanced group we can jump over.
 bool IsOpenBracket(const Token& t) {
   return t.kind == TokKind::kPunct && t.text.size() == 1 &&
          (t.text[0] == '(' || t.text[0] == '[' || t.text[0] == '{');
+}
+
+/// The typed accessors of src/parallel/device.h.
+bool IsAccessor(std::string_view s) {
+  return s == "In" || s == "Out" || s == "InOut" || s == "InIf";
 }
 
 }  // namespace
@@ -97,43 +96,6 @@ std::string TerminalKey(const TokenStream& ts, std::size_t begin,
   return result;
 }
 
-std::string DeviceDataChainKey(const TokenStream& ts, std::size_t devpos) {
-  // devpos names `device_data`; tokens[devpos-1] should be `.` or `->`.
-  if (devpos < 2) return {};
-  if (!IsPunct(ts.tokens[devpos - 1], ".") &&
-      !IsPunct(ts.tokens[devpos - 1], "->")) {
-    return {};
-  }
-  // Walk the postfix chain backwards: idents, `.`/`->`/`::` links, and
-  // balanced ()/[] groups.
-  std::size_t k = devpos - 2;
-  std::size_t start = devpos - 2;
-  for (int guard = 0; guard < 256; ++guard) {
-    const Token& t = ts.tokens[k];
-    if (t.kind == TokKind::kPunct && t.text.size() == 1 &&
-        (t.text[0] == ')' || t.text[0] == ']')) {
-      const std::size_t m = ts.match[k];
-      if (m >= k || m == 0) break;
-      start = m;
-      k = m - 1;
-      if (k == 0) break;
-      continue;
-    }
-    if (t.kind == TokKind::kIdent) {
-      start = k;
-      if (k >= 2 && (IsPunct(ts.tokens[k - 1], ".") ||
-                     IsPunct(ts.tokens[k - 1], "->") ||
-                     IsPunct(ts.tokens[k - 1], "::"))) {
-        k -= 2;
-        continue;
-      }
-      break;
-    }
-    break;
-  }
-  return TerminalKey(ts, start, devpos - 1);
-}
-
 namespace {
 
 /// Per-function extraction state and passes.
@@ -152,9 +114,6 @@ class Extractor {
     Finalize();
   }
 
-  const std::map<std::string, bool>& summary_uses() const {
-    return summary_uses_;
-  }
   void set_signature(std::size_t sig_open) { sig_open_ = sig_open; }
 
  private:
@@ -253,7 +212,6 @@ class Extractor {
       if (name.empty() || name == "void") continue;
       fn_.locals.insert(name);
       fn_.escaping.insert(name);
-      params_.insert(name);
     }
   }
 
@@ -261,7 +219,6 @@ class Extractor {
 
   void StatementPass() {
     std::size_t i = fn_.body_begin + 1;
-    int depth = 0;
     std::size_t stmt_start = i;
     while (i < fn_.body_end) {
       const Token& t = Tok(i);
@@ -284,21 +241,13 @@ class Extractor {
             i = (m > i) ? m + 1 : i + 1;
             continue;
           }
-          ProcessStmt(stmt_start, i, depth);
-          ++depth;
+          ProcessStmt(stmt_start, i);
           ++i;
           stmt_start = i;
           continue;
         }
-        if (c == '}') {
-          ProcessStmt(stmt_start, i, depth);
-          depth = std::max(0, depth - 1);
-          ++i;
-          stmt_start = i;
-          continue;
-        }
-        if (c == ';') {
-          ProcessStmt(stmt_start, i, depth);
+        if (c == '}' || c == ';') {
+          ProcessStmt(stmt_start, i);
           ++i;
           stmt_start = i;
           continue;
@@ -306,17 +255,15 @@ class Extractor {
       }
       ++i;
     }
-    ProcessStmt(stmt_start, fn_.body_end, 0);
+    ProcessStmt(stmt_start, fn_.body_end);
   }
 
-  void ProcessStmt(std::size_t s, std::size_t e, int depth) {
+  void ProcessStmt(std::size_t s, std::size_t e) {
     if (s >= e) return;
-    bool conditional = false;
     // Strip leading else / if(...) / for(...) / while(...).
     for (int guard = 0; guard < 8 && s < e; ++guard) {
       if (IsIdent(Tok(s), "else")) {
         ++s;
-        conditional = true;
         continue;
       }
       if ((IsIdent(Tok(s), "if") || IsIdent(Tok(s), "for") ||
@@ -325,13 +272,11 @@ class Extractor {
         const std::size_t m = Match(s + 1);
         if (m <= s + 1 || m >= e) return;  // Header only; no tail stmt.
         s = m + 1;
-        conditional = true;
         continue;
       }
       break;
     }
     if (s >= e) return;
-    current_depth_for_decl_ = depth;
 
     if (IsIdent(Tok(s), "return")) {
       const std::string key = TerminalKey(ts_, s + 1, e);
@@ -340,85 +285,18 @@ class Extractor {
     }
 
     const std::size_t eq = FindTopEq(s, e);
-
-    // ---- access entries appearing anywhere in this statement ---- //
-    std::vector<AccessEntry> entries;
-    std::vector<std::pair<std::size_t, std::size_t>> builder_spans;
-    for (std::size_t j = s; j < e; ++j) {
-      if (Tok(j).kind != TokKind::kIdent || !IsAccessBuilder(Tok(j).text)) {
-        continue;
-      }
-      if (j + 1 >= e || !IsPunct(Tok(j + 1), "(")) continue;
-      const std::size_t close = Match(j + 1);
-      if (close <= j + 1) continue;
-      auto args = SplitArgs(j + 2, close);
-      AccessEntry entry;
-      entry.token = j;
-      entry.line = Tok(j).line;
-      entry.text = Slice(j, close);
-      if (!args.empty()) {
-        entry.key = TerminalKey(ts_, args[0].first, args[0].second);
-      }
-      if (!entry.key.empty()) {
-        builder_spans.emplace_back(j, close);
-        entries.push_back(std::move(entry));
-      }
-    }
-    // A `?` outside the builder calls (e.g. `cond ? Writes(a) : Writes(b)`
-    // inside a braced initializer) makes every entry conditional.
-    bool has_ternary = false;
-    for (std::size_t j = s; j < e && !has_ternary; ++j) {
-      if (!IsPunct(Tok(j), "?")) continue;
-      bool inside_builder = false;
-      for (auto [bb, be] : builder_spans) {
-        if (j > bb && j < be) inside_builder = true;
-      }
-      if (!inside_builder) has_ternary = true;
-    }
-    for (AccessEntry& entry : entries) {
-      entry.conditional = conditional || has_ternary;
-    }
-
-    std::string lhs_terminal;
-    std::string lhs_base;
-    bool is_decl = false;
     if (eq < e) {
       const bool has_member = HasTopPunct(s, eq, ".") ||
                               HasTopPunct(s, eq, "->");
-      lhs_terminal = TerminalKey(ts_, s, eq);
-      lhs_base = has_member ? FirstIdent(s, eq) : lhs_terminal;
-      is_decl = ClassifyDecl(s, eq, has_member);
-      if (is_decl) RegisterDecl(s, eq, lhs_terminal, eq + 1, e);
-      HandleRhs(eq, e, lhs_base, lhs_terminal,
-                conditional || depth > 0, has_ternary);
-    } else {
-      HandleNoEqStmt(s, e, conditional || depth > 0, has_ternary);
-    }
-
-    // ---- attach entries ---- //
-    if (entries.empty()) return;
-    // Braced array declaration: the entries in this statement seed it.
-    if (is_decl && DeclaresAccessArray(s, eq)) {
-      fn_.access_arrays.push_back(
-          {lhs_terminal, eq, depth, std::move(entries)});
-      return;
-    }
-    // `acc[na++] = Reads(...)`: attach to the nearest preceding array.
-    if (eq < e && !lhs_terminal.empty()) {
-      for (auto it = fn_.access_arrays.rbegin();
-           it != fn_.access_arrays.rend(); ++it) {
-        if (it->name != lhs_terminal) continue;
-        for (AccessEntry& entry : entries) {
-          entry.conditional =
-              entry.conditional || depth > it->decl_depth;
-          it->entries.push_back(std::move(entry));
-        }
-        return;
+      const std::string lhs_terminal = TerminalKey(ts_, s, eq);
+      const std::string lhs_base =
+          has_member ? FirstIdent(s, eq) : lhs_terminal;
+      if (ClassifyDecl(s, eq, has_member)) {
+        RegisterDecl(s, eq, lhs_terminal, eq + 1, e);
       }
-    }
-    // Inline braced list in a call argument: launches claim by span.
-    for (AccessEntry& entry : entries) {
-      fn_.loose_entries.push_back(std::move(entry));
+      HandleRhs(eq, e, lhs_base, lhs_terminal);
+    } else {
+      HandleNoEqStmt(s, e);
     }
   }
 
@@ -437,16 +315,6 @@ class Extractor {
     return idents_before_bracket >= 2;  // Single ident => assignment.
   }
 
-  bool DeclaresAccessArray(std::size_t s, std::size_t eq) const {
-    bool saw_type = false;
-    bool saw_bracket = false;
-    for (std::size_t i = s; i < eq; ++i) {
-      if (IsIdent(Tok(i), "BufferAccess")) saw_type = true;
-      if (IsPunct(Tok(i), "[")) saw_bracket = true;
-    }
-    return saw_type && saw_bracket;
-  }
-
   void RegisterDecl(std::size_t s, std::size_t eq, const std::string& name,
                     std::size_t rhs_b, std::size_t rhs_e) {
     if (name.empty()) return;
@@ -457,7 +325,6 @@ class Extractor {
       type.append(Tok(i).text);
       type.push_back(' ');
     }
-    decl_types_[name] = type;
     if (type.find("Scratch") != std::string::npos) {
       fn_.scratch_handles.insert(name);
     }
@@ -477,8 +344,7 @@ class Extractor {
 
   void HandleRhs(std::size_t eq, std::size_t e,
                  const std::string& lhs_base,
-                 const std::string& lhs_terminal, bool conditional,
-                 bool has_ternary) {
+                 const std::string& lhs_terminal) {
     const std::size_t b = eq + 1;
     // Named lambda variable?
     if (b < e && IsPunct(Tok(b), "[")) {
@@ -497,24 +363,10 @@ class Extractor {
       if (id == "AcquireScratch") {
         fn_.scratches.push_back(
             {Tok(j).line, j, lhs_base, lhs_terminal});
-        if (!lhs_terminal.empty()) {
-          fn_.bufferish.insert(lhs_terminal);
-          fn_.scratch_handles.insert(lhs_terminal);
-        }
+        if (!lhs_terminal.empty()) fn_.scratch_handles.insert(lhs_terminal);
         handled_alias = true;
-      } else if (id == "CreateBuffer") {
-        if (!lhs_terminal.empty()) fn_.bufferish.insert(lhs_terminal);
-        handled_alias = true;
-      } else if (id == "make_shared" || id == "make_unique") {
-        // Host-side keep-alive handles (e.g. a shared_ptr<vector>
-        // captured by a kernel) are benign unless they wrap a buffer.
-        bool wraps_buffer = false;
-        for (std::size_t k = b; k < e; ++k) {
-          if (IsIdent(Tok(k), "DeviceBuffer")) wraps_buffer = true;
-        }
-        if (!wraps_buffer && !lhs_terminal.empty()) {
-          fn_.benign.insert(lhs_terminal);
-        }
+      } else if (id == "CreateBuffer" || id == "make_shared" ||
+                 id == "make_unique") {
         handled_alias = true;
       } else if (id.size() > 7 && id.substr(0, 7) == "Enqueue" &&
                  j + 1 < e && IsPunct(Tok(j + 1), "(")) {
@@ -530,31 +382,13 @@ class Extractor {
                                    lhs_terminal, false});
         }
         handled_alias = true;
-      } else if (id == "device_data" && j >= 2 &&
-                 (IsPunct(Tok(j - 1), ".") || IsPunct(Tok(j - 1), "->"))) {
-        const std::string key = DeviceDataChainKey(ts_, j);
-        if (!key.empty()) {
-          fn_.bufferish.insert(key);
-          if (!handled_alias && !lhs_terminal.empty()) {
-            Union(lhs_terminal, key);
-            fn_.bufferish.insert(lhs_terminal);
-          }
-          handled_alias = true;
-          auto [it, inserted] = summary_uses_.try_emplace(
-              key, conditional || has_ternary);
-          if (!inserted && it->second && !(conditional || has_ternary)) {
-            it->second = false;  // Unconditional use dominates.
-          }
-        }
       }
     }
     if (handled_alias || lhs_terminal.empty()) return;
 
-    // Chain-only RHS: alias or record the call it came from.
+    // Chain-only RHS: alias unless it is a plain call `Name(args)`.
     if (!IsChainOnly(b, e)) return;
     for (auto [ab, ae] : TernaryArms(b, e)) {
-      // A call `Name(args)`: remember where the value came from so a
-      // capture of it can expand a view summary.
       std::size_t last_ident = ae;
       for (std::size_t j = ab; j < ae;) {
         if (IsOpenBracket(Tok(j))) {
@@ -570,20 +404,16 @@ class Extractor {
       if (term.empty() || term == "nullptr" || term == "this") continue;
       if (last_ident + 1 < ae && IsPunct(Tok(last_ident + 1), "(") &&
           Tok(last_ident).text == term) {
-        fn_.call_refs[lhs_terminal] = term;
-      } else {
-        Union(lhs_terminal, term);
-        if (fn_.scratch_handles.count(term)) {
-          fn_.scratch_handles.insert(lhs_terminal);
-        }
+        continue;
+      }
+      Union(lhs_terminal, term);
+      if (fn_.scratch_handles.count(term)) {
+        fn_.scratch_handles.insert(lhs_terminal);
       }
     }
   }
 
-  void HandleNoEqStmt(std::size_t s, std::size_t e, bool conditional,
-                      bool has_ternary) {
-    (void)conditional;
-    (void)has_ternary;
+  void HandleNoEqStmt(std::size_t s, std::size_t e) {
     for (std::size_t j = s; j < e; ++j) {
       if (Tok(j).kind != TokKind::kIdent) continue;
       const std::string_view id = Tok(j).text;
@@ -608,10 +438,6 @@ class Extractor {
           fn_.readbacks.push_back(
               {Tok(j).line, j, FirstIdent(s, j), "", "", chained});
         }
-      } else if (id == "device_data" && j >= 2 &&
-                 (IsPunct(Tok(j - 1), ".") || IsPunct(Tok(j - 1), "->"))) {
-        const std::string key = DeviceDataChainKey(ts_, j);
-        if (!key.empty()) fn_.bufferish.insert(key);
       }
     }
     // Declaration without initializer: `Type name;`, `Type name[N];`,
@@ -666,12 +492,8 @@ class Extractor {
     }
     if (idents < 2 || name.empty()) return;
     fn_.locals.insert(name);
-    decl_types_[name] = type;
     if (type.find("Scratch") != std::string::npos) {
       fn_.scratch_handles.insert(name);
-    }
-    if (DeclaresAccessArray(s, e)) {
-      fn_.access_arrays.push_back({name, s, current_depth_for_decl_, {}});
     }
   }
 
@@ -961,8 +783,13 @@ class Extractor {
         std::string_view lit = Tok(args[0].first).text;
         if (lit.size() >= 2) ls.kernel_name.assign(lit.substr(1, lit.size() - 2));
       }
+      // Span form: the body is argument 3. Accessor form: argument 3 is
+      // the accessor tuple and the body follows it.
       if (args.size() > 3) ResolveBody(args[3], j, ls);
-      if (args.size() > 4) ResolveAccesses(args[4], j, ls);
+      if (!ls.body_resolved && args.size() > 4) {
+        CollectAccessorBuffers(args[3], ls);
+        ResolveBody(args[4], j, ls);
+      }
       fn_.launches.push_back(std::move(ls));
     }
   }
@@ -989,59 +816,27 @@ class Extractor {
     }
   }
 
-  void ResolveAccesses(std::pair<std::size_t, std::size_t> arg,
-                       std::size_t site, LaunchSite& ls) {
-    auto [b, e] = arg;
-    if (b >= e) return;
-    // `{}` or `{ Reads(...), ... }`.
-    if (IsPunct(Tok(b), "{")) {
-      for (const AccessEntry& entry : fn_.loose_entries) {
-        if (entry.token > b && entry.token < e) {
-          ls.entries.push_back(entry);
-        }
+  /// Records the buffer argument of every accessor call in `arg` (the
+  /// second argument of `InIf`, the first of the others) unless it is
+  /// dereferenced: `Out(tmp, ...)` leases the scratch, `Out(*tmp, ...)`
+  /// does not.
+  void CollectAccessorBuffers(std::pair<std::size_t, std::size_t> arg,
+                              LaunchSite& ls) {
+    for (std::size_t i = arg.first; i + 1 < arg.second; ++i) {
+      if (Tok(i).kind != TokKind::kIdent || !IsAccessor(Tok(i).text) ||
+          !IsPunct(Tok(i + 1), "(")) {
+        continue;
       }
-      ls.has_accesses = !ls.entries.empty();
-      return;
+      const std::size_t close = Match(i + 1);
+      if (close <= i + 1) continue;
+      const auto args = SplitArgs(i + 2, close);
+      const std::size_t which = Tok(i).text == "InIf" ? 1 : 0;
+      if (args.size() <= which) continue;
+      const auto [b, e] = args[which];
+      if (b >= e || IsPunct(Tok(b), "*")) continue;
+      const std::string key = TerminalKey(ts_, b, e);
+      if (!key.empty()) ls.accessor_buffers.push_back(key);
     }
-    // `std::span<const BufferAccess>(acc, na)` or a plain identifier.
-    std::string name;
-    bool span_wrapper = false;
-    for (std::size_t i = b; i < e; ++i) {
-      if (IsIdent(Tok(i), "span")) span_wrapper = true;
-    }
-    if (span_wrapper) {
-      // Last top-level `(` group holds the (array, count) args.
-      for (std::size_t i = b; i < e;) {
-        if (IsPunct(Tok(i), "(")) {
-          const std::size_t m = Match(i);
-          if (m > i && m <= e) {
-            auto inner = SplitArgs(i + 1, m);
-            if (!inner.empty()) {
-              name = TerminalKey(ts_, inner[0].first, inner[0].second);
-            }
-            i = m + 1;
-            continue;
-          }
-        }
-        ++i;
-      }
-    } else {
-      name = TerminalKey(ts_, b, e);
-    }
-    if (name.empty()) return;
-    ls.access_array = name;
-    for (auto it = fn_.access_arrays.rbegin(); it != fn_.access_arrays.rend();
-         ++it) {
-      if (it->name != name || it->decl_token >= site) continue;
-      for (const AccessEntry& entry : it->entries) {
-        if (entry.token < site) ls.entries.push_back(entry);
-      }
-      ls.has_accesses = true;
-      return;
-    }
-    // No local declaration: a forwarded span parameter (wrapper
-    // function such as Device::Launch) — not this function's problem.
-    ls.forwarded = true;
   }
 
   // --------------------------------------------------------------- //
@@ -1065,42 +860,13 @@ class Extractor {
                        (fn_.escaping.count(ea.lhs_base) ||
                         !fn_.locals.count(ea.lhs_base));
     }
-    // Benign-by-declared-type captures.
-    static const char* kBenign[] = {
-        "size_t", "int", "double", "float", "bool", "char", "long",
-        "unsigned", "short", "Event", "string", "auto &", "string_view"};
-    for (const auto& [name, type] : decl_types_) {
-      if (type.find("DeviceBuffer") != std::string::npos ||
-          type.find("Scratch") != std::string::npos) {
-        continue;
-      }
-      for (const char* b : kBenign) {
-        if (type.find(b) != std::string::npos) {
-          fn_.benign.insert(name);
-          break;
-        }
-      }
-      if ((type.find("vector") != std::string::npos ||
-           type.find("shared_ptr") != std::string::npos ||
-           type.find("array") != std::string::npos ||
-           type.find("span") != std::string::npos) &&
-          type.find("BufferAccess") == std::string::npos) {
-        fn_.benign.insert(name);
-      }
-    }
-    // A buffer key is never benign.
-    for (const std::string& b : fn_.bufferish) fn_.benign.erase(b);
   }
 
   const TokenStream& ts_;
   const std::string& contents_;
   FunctionInfo& fn_;
   std::size_t sig_open_ = 0;
-  std::set<std::string> params_;
-  std::map<std::string, std::string> decl_types_;
   std::map<std::string, std::vector<std::string>> ref_inits_;
-  std::map<std::string, bool> summary_uses_;
-  int current_depth_for_decl_ = 0;
 };
 
 /// Finds function definitions: `name (params) [quals] { body }`.
@@ -1420,41 +1186,9 @@ SourceFile BuildModel(const std::string& path) {
     Extractor ex(sf.stream, sf.contents, fn);
     ex.set_signature(c.sig_open);
     ex.Run();
-    if (!ex.summary_uses().empty()) {
-      ViewSummary& vs = sf.summaries[fn.name];
-      for (const auto& [key, cond] : ex.summary_uses()) {
-        auto [it, inserted] = vs.keys.try_emplace(key, cond);
-        if (!inserted && it->second && !cond) it->second = false;
-      }
-    }
     sf.functions.push_back(std::move(fn));
   }
 
-  // View-builder summaries compose: when a function's returned value was
-  // initialized from another summarized function of this TU
-  // (`view = MomentsView(shard); ...; return view;`), the callee's
-  // packed keys are part of the caller's summary too. Fixpoint handles
-  // chains of builders.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (const FunctionInfo& fn : sf.functions) {
-      for (const auto& [var, callee] : fn.call_refs) {
-        if (callee == fn.name || !fn.returned.count(var)) continue;
-        const auto it = sf.summaries.find(callee);
-        if (it == sf.summaries.end()) continue;
-        ViewSummary& vs = sf.summaries[fn.name];
-        for (const auto& [key, cond] : it->second.keys) {
-          auto [kit, inserted] = vs.keys.try_emplace(key, cond);
-          if (inserted) {
-            changed = true;
-          } else if (kit->second && !cond) {
-            kit->second = false;
-            changed = true;
-          }
-        }
-      }
-    }
-  }
   return sf;
 }
 

@@ -1,6 +1,6 @@
 /// \file model.h
 /// \brief fkde-lint's per-TU source model: functions, buffer alias
-/// classes, declared access-sets, launch/readback/scratch sites.
+/// classes, launch/readback/scratch sites.
 ///
 /// The model is what the checks consume; it is deliberately independent
 /// of how it was extracted (today: the bundled token frontend in
@@ -9,27 +9,20 @@
 ///
 ///  * Every device-buffer-ish expression is normalized to a **terminal
 ///    key** — the last identifier of its postfix chain, skipping
-///    `.get()` / `.device_data()` / index and call argument lists. So
+///    `.get()` / `.data()` / index and call argument lists. So
 ///    `engine_->shard_contributions(si)`, `*bs.bounds`, `sums[si].get()`
 ///    normalize to `shard_contributions`, `bounds`, `sums`.
 ///  * Within one function, assignments/initializations union keys into
-///    **alias classes** (union-find): `double* out =
-///    moments[si]->device_data();` puts `out` and `moments` in one
-///    class; `std::swap(dst, spare)`, `in_buf = dst;`, reference
-///    bindings, and ternaries union likewise. Classes are
+///    **alias classes** (union-find): `ScratchBuffer dst = scratch_a;`
+///    puts `dst` and `scratch_a` in one class; `std::swap(dst, spare)`,
+///    reference bindings, and ternaries union likewise. Classes are
 ///    flow-insensitive — ping-pong reduction buffers legitimately
 ///    collapse into one class, trading precision for zero false
 ///    positives on that idiom.
-///  * Functions that package buffer pointers into a struct (the
-///    `ShardKernelView` builder) get a **summary**: the set of buffer
-///    keys whose `.device_data()` appears in their body, each flagged
-///    conditional when guarded by `if`/`?:`. A capture initialized from
-///    such a call expands to the summary's keys at the launch site.
 ///
-/// A key is **bufferish** when it was seen as the subject of
-/// `Reads`/`Writes`/`ReadsWrites`, `.device_data()`, `CreateBuffer`, or
-/// `AcquireScratch`. Only classes containing a bufferish key
-/// participate in the access-set check; scalar aliasing noise is inert.
+/// Which buffers a kernel touches is no longer modeled: the typed
+/// accessors of src/parallel/device.h make an undeclared touch fail to
+/// compile (see tests/parallel/compile_fail/).
 
 #ifndef FKDE_TOOLS_LINT_MODEL_H_
 #define FKDE_TOOLS_LINT_MODEL_H_
@@ -44,27 +37,6 @@
 
 namespace fkde_lint {
 
-/// One declared BufferAccess entry of an access array.
-struct AccessEntry {
-  std::string key;       ///< Normalized buffer key.
-  std::string text;      ///< Source text of the builder call, for messages.
-  int line = 0;
-  std::size_t token = 0;     ///< Token index of the builder ident.
-  bool conditional = false;  ///< Guarded by if/?: relative to the array.
-};
-
-/// One declared access array (`BufferAccess acc[4];` or
-/// `const BufferAccess acc[] = {...};`). The same name may be declared
-/// in sibling scopes (if/else arms); launch sites resolve the nearest
-/// preceding declaration by token position.
-struct AccessArray {
-  std::string name;
-  std::size_t decl_token = 0;
-  int decl_depth = 0;  ///< Brace depth of the declaration, for marking
-                       ///< entries added in nested scopes conditional.
-  std::vector<AccessEntry> entries;
-};
-
 /// A kernel lambda: capture names plus body token range.
 struct LambdaInfo {
   std::vector<std::string> captures;  ///< Explicit capture names.
@@ -76,9 +48,9 @@ struct LambdaInfo {
   bool valid = false;
 };
 
-/// One EnqueueLaunch / Device::Launch call site, with the access-set
-/// declaration already resolved (nearest preceding array of that name,
-/// or the inline braced list).
+/// One EnqueueLaunch / Device::Launch call site, in either form: the
+/// span form (`name, n, ops, body[, accesses]`) or the accessor form
+/// (`name, n, ops, std::tuple(In(...), ...), body`).
 struct LaunchSite {
   int line = 0;
   std::size_t token = 0;     ///< Token index of the call ident.
@@ -86,11 +58,10 @@ struct LaunchSite {
   LambdaInfo body;           ///< Resolved kernel body (possibly via a
                              ///< named local lambda variable).
   bool body_resolved = false;
-  std::string access_array;  ///< Name of the access array, empty if inline.
-  std::vector<AccessEntry> entries;  ///< Resolved declared entries.
-  bool has_accesses = false; ///< False => opaque kernel.
-  bool forwarded = false;    ///< Accesses arg is a forwarded span
-                             ///< parameter (wrapper function) — skip.
+  /// Keys passed undereferenced as the buffer of an `In`/`Out`/`InOut`/
+  /// `InIf` accessor of the launch: a `ScratchBuffer` passed so is
+  /// leased to the command until it retires.
+  std::vector<std::string> accessor_buffers;
 };
 
 /// One EnqueueCopyToHost call site (readback discipline check).
@@ -146,24 +117,12 @@ struct FunctionInfo {
 
   /// Union-find over normalized keys (resolved; query via Find()).
   std::map<std::string, std::string> parent;
-  std::set<std::string> bufferish;    ///< Keys seen in buffer positions.
   /// Names declared inside this function (params included). A name
   /// assigned to but never declared is a member/global — it escapes.
   std::set<std::string> locals;
   /// Keys whose class escapes the function: members/globals the key was
   /// bound to, returned locals, and function parameters.
   std::set<std::string> escaping;
-  /// Capture name -> called function name, for summary expansion
-  /// (`view = ShardView(si)`).
-  std::map<std::string, std::string> call_refs;
-  /// Names with provably host-only types (size_t/double/Event/...), or
-  /// initialized via make_shared of host data — ignored as captures.
-  std::set<std::string> benign;
-  /// Declared access arrays, in declaration order.
-  std::vector<AccessArray> access_arrays;
-  /// Entries not attached to any named array (inline braced lists in
-  /// call arguments); launches claim them by token span.
-  std::vector<AccessEntry> loose_entries;
   /// Named local lambdas (`auto body = [...](...) {...};`), in
   /// declaration order; launches resolve the nearest preceding one.
   std::vector<std::pair<std::string, LambdaInfo>> lambda_vars;
@@ -174,8 +133,9 @@ struct FunctionInfo {
   /// Names that hold a ScratchBuffer *by value* (shared_ptr copy):
   /// AcquireScratch assignment targets, ScratchBuffer-typed
   /// declarations, and chain-only aliases of either. Only these keep a
-  /// scratch allocation alive when captured — a raw pointer from
-  /// `device_data()` shares the alias class but not the ownership.
+  /// scratch allocation alive when captured or passed to an accessor —
+  /// a dereferenced `*handle` shares the alias class but not the
+  /// ownership.
   std::set<std::string> scratch_handles;
 
   /// Token indices of blocking synchronization points: `.Wait(`,
@@ -213,12 +173,6 @@ struct FunctionInfo {
   bool SameClass(const std::string& a, const std::string& b) const;
 };
 
-/// A struct-builder summary: buffer keys packaged by a function.
-struct ViewSummary {
-  /// key -> conditional (guarded by if/?:).
-  std::map<std::string, bool> keys;
-};
-
 /// One persistent data member of a snapshot-friend class.
 struct SnapshotMember {
   std::string name;
@@ -241,9 +195,6 @@ struct SourceFile {
   std::string contents;   ///< Owns the bytes tokens view into.
   TokenStream stream;
   std::vector<FunctionInfo> functions;
-  /// Function name -> summary, for capture expansion across functions
-  /// of the same TU.
-  std::map<std::string, ViewSummary> summaries;
   /// line -> suppressed check names ("*" suppresses all) parsed from
   /// `// FKDE_LINT_SUPPRESS(check): reason` comments. A suppression on
   /// line L covers findings on L and L+1.
@@ -264,12 +215,6 @@ SourceFile BuildModel(const std::string& path);
 /// tests and the check layer.
 std::string TerminalKey(const TokenStream& ts, std::size_t begin,
                         std::size_t end);
-
-/// Given the token index of a `device_data` identifier, walks the
-/// postfix chain backwards and returns its terminal key
-/// (`bs.bounds->device_data()` -> "bounds"). Used by the check layer to
-/// spot direct buffer uses inside kernel bodies.
-std::string DeviceDataChainKey(const TokenStream& ts, std::size_t devpos);
 
 }  // namespace fkde_lint
 

@@ -102,7 +102,6 @@ std::vector<std::string> SplitWs(const std::string& line) {
 TuSummary Summarize(const SourceFile& sf) {
   TuSummary tu;
   tu.path = sf.path;
-  tu.views = sf.summaries;
   tu.snapshot_classes = sf.snapshot_classes;
   for (const FunctionInfo& fn : sf.functions) {
     const FunctionFacts f = DistillFacts(sf, fn);
@@ -139,13 +138,6 @@ std::string SerializeTuSummary(const TuSummary& tu) {
   std::ostringstream out;
   out << "fkde-lint-summary 1\n";
   out << "tu " << tu.path << "\n";
-  for (const auto& [name, vs] : tu.views) {
-    out << "view " << name;
-    for (const auto& [key, cond] : vs.keys) {
-      out << ' ' << key << ':' << (cond ? 1 : 0);
-    }
-    out << "\n";
-  }
   for (const auto& [name, f] : tu.facts) {
     out << "fact " << name << ' ';
     if (f.blocks) out << 'b';
@@ -192,13 +184,6 @@ bool ParseTuSummary(const std::string& text, TuSummary* out) {
     if (w.empty()) continue;
     if (w[0] == "tu" && w.size() >= 2) {
       out->path = w[1];
-    } else if (w[0] == "view" && w.size() >= 2) {
-      ViewSummary& vs = out->views[w[1]];
-      for (std::size_t i = 2; i < w.size(); ++i) {
-        const std::size_t colon = w[i].rfind(':');
-        if (colon == std::string::npos) continue;
-        vs.keys[w[i].substr(0, colon)] = w[i].substr(colon + 1) == "1";
-      }
     } else if (w[0] == "fact" && w.size() >= 3) {
       FunctionFacts& f = out->facts[w[1]];
       for (char c : w[2]) {
@@ -244,35 +229,6 @@ bool ParseTuSummary(const std::string& text, TuSummary* out) {
 }
 
 void ProgramIndex::Add(const TuSummary& tu) {
-  for (const auto& [name, vs] : tu.views) {
-    if (ambiguous_views.count(name)) continue;
-    auto it = views.find(name);
-    if (it == views.end()) {
-      views.emplace(name, vs);
-      continue;
-    }
-    // Same key set: merge conditionality (unconditional dominates).
-    // Different key sets: the name is ambiguous across TUs — expanding
-    // either definition could charge a kernel with buffers it never
-    // touches, so never expand it.
-    bool same_keys = it->second.keys.size() == vs.keys.size();
-    if (same_keys) {
-      for (const auto& [key, cond] : vs.keys) {
-        if (!it->second.keys.count(key)) {
-          same_keys = false;
-          break;
-        }
-      }
-    }
-    if (!same_keys) {
-      views.erase(it);
-      ambiguous_views.insert(name);
-      continue;
-    }
-    for (const auto& [key, cond] : vs.keys) {
-      if (!cond) it->second.keys[key] = false;
-    }
-  }
   for (const auto& [name, f] : tu.facts) {
     FunctionFacts& slot = facts[name];
     slot.blocks |= f.blocks;
@@ -303,12 +259,6 @@ void ProgramIndex::Add(const TuSummary& tu) {
     restore_fields.insert(tu.restore_fields.begin(),
                           tu.restore_fields.end());
   }
-}
-
-const ViewSummary* ProgramIndex::View(const std::string& name) const {
-  if (ambiguous_views.count(name)) return nullptr;
-  auto it = views.find(name);
-  return it == views.end() ? nullptr : &it->second;
 }
 
 const FunctionFacts* ProgramIndex::Facts(const std::string& name) const {

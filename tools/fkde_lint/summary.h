@@ -4,8 +4,8 @@
 /// fkde-lint's two-pass mode works on this layer:
 ///
 ///   * **Pass 1** models each TU of the compilation database and
-///     distills it to a `TuSummary` — view-builder summaries, boolean
-///     `FunctionFacts` per function (blocks, drains, allocates, lock
+///     distills it to a `TuSummary` — boolean `FunctionFacts` per
+///     function (blocks, drains, allocates, lock
 ///     acquisitions, streaming calls), the snapshot-friend classes with
 ///     their persistent members, and (for the codec TU) the field sets
 ///     written by the save/restore paths. Summaries serialize to a
@@ -16,11 +16,8 @@
 ///     treated as opaque.
 ///
 /// Linking is by function *name*, mirroring the model's name-class
-/// philosophy. Two defenses keep that sound in the flagging direction:
-/// view summaries whose key sets disagree across TUs are marked
-/// ambiguous and never expanded, and facts are OR-merged so they can
-/// only add conservative knowledge (a callee that might block is
-/// treated as blocking).
+/// philosophy. Facts are OR-merged so they can only add conservative
+/// knowledge (a callee that might block is treated as blocking).
 
 #ifndef FKDE_TOOLS_LINT_SUMMARY_H_
 #define FKDE_TOOLS_LINT_SUMMARY_H_
@@ -55,7 +52,6 @@ struct FunctionFacts {
 /// Everything pass 2 needs to know about one TU.
 struct TuSummary {
   std::string path;
-  std::map<std::string, ViewSummary> views;
   std::map<std::string, FunctionFacts> facts;
   std::vector<SnapshotClassInfo> snapshot_classes;
   /// Codec TU only (defines `class ModelSnapshotAccess`): member names
@@ -80,8 +76,6 @@ bool ParseTuSummary(const std::string& text, TuSummary* out);
 
 /// The merged whole-program view consumed by the checks.
 struct ProgramIndex {
-  std::map<std::string, ViewSummary> views;
-  std::set<std::string> ambiguous_views;  ///< Conflicting defs — never expanded.
   std::map<std::string, FunctionFacts> facts;
   /// (defining path, class) for every snapshot-friend class seen.
   std::vector<std::pair<std::string, SnapshotClassInfo>> snapshot_classes;
@@ -93,8 +87,7 @@ struct ProgramIndex {
   int restore_line = 0;
 
   void Add(const TuSummary& tu);
-  /// Null when unknown or ambiguous.
-  const ViewSummary* View(const std::string& name) const;
+  /// Null when unknown.
   const FunctionFacts* Facts(const std::string& name) const;
 };
 
