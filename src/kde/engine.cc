@@ -17,11 +17,17 @@ KdeEngine::KdeEngine(DeviceSample* sample, KernelType kernel)
   for (std::size_t si = 0; si < shards_.size(); ++si) {
     EngineShard& sh = shards_[si];
     sh.device = sample_->shard_device(si);
-    // Resolve the profile's requested backend against CPU capability and
-    // the FKDE_KERNEL_BACKEND / FKDE_KERNEL_PRECISION overrides, once.
-    sh.backend = ResolveKernelBackend(sh.device->profile().kernel_backend);
+    // The body that executes depends on the CPU alone: every double body
+    // the vector backend has is bitwise equal to scalar, so each shard
+    // runs it where AVX2 is present, unless FKDE_KERNEL_BACKEND=scalar
+    // forces the fallback. The profile's backend request only gates
+    // float lane math (and, through SimdCpu's throughput, modeled time).
+    const DeviceProfile& profile = sh.device->profile();
+    sh.backend = ResolveKernelBackend(KernelBackend::kSimd);
     sh.precision =
-        ResolveKernelPrecision(sh.device->profile().kernel_precision);
+        ResolveKernelBackend(profile.kernel_backend) == KernelBackend::kSimd
+            ? ResolveKernelPrecision(profile.kernel_precision)
+            : KernelPrecision::kDouble;
     sh.bandwidth_dev = sh.device->CreateBuffer<double>(d);
     sh.point_scales = sh.device->CreateBuffer<float>(sample_->capacity());
   }

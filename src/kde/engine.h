@@ -247,9 +247,11 @@ class KdeEngine {
     return shards_[shard].slots[feedback_slot_].contributions;
   }
 
-  /// Kernel backend shard `shard` runs (resolved from its device profile
-  /// at construction — AVX2 availability and the FKDE_KERNEL_BACKEND /
-  /// FKDE_KERNEL_PRECISION overrides applied).
+  /// Kernel backend shard `shard` runs, resolved at construction: simd
+  /// where the CPU has AVX2 and FKDE_KERNEL_BACKEND does not force
+  /// scalar, whatever its profile asks for. The precision is float only
+  /// on a simd profile asking for float (or FKDE_KERNEL_PRECISION=float
+  /// under one); every other shard keeps double math.
   KernelBackend shard_backend(std::size_t shard) const {
     return shards_[shard].backend;
   }

@@ -110,10 +110,10 @@ void ScalarContributionGrad(const ShardKernelView& v, const double* qb,
 #if defined(FKDE_KB_X86)
 
 // ---------------------------------------------------------------------------
-// AVX2 lane math. All functions below are compiled for avx2+fma at
-// function granularity (the translation unit itself builds with the
-// project's baseline flags) and are only reached behind a
-// `CpuSupportsSimd()` runtime check.
+// AVX2 lane math. All functions below are compiled for avx2 (the float
+// lanes also for fma) at function granularity — the translation unit
+// itself builds with the project's baseline flags — and are only reached
+// behind a `CpuSupportsSimd()` runtime check.
 
 /// 8-wide mirror of kernel::ExpApproxF (same constants, same operation
 /// order up to FMA contraction).
@@ -376,50 +376,160 @@ __attribute__((target("avx2,fma"))) void ContributionGradFloatAvx2(
   }
 }
 
-/// 4-wide double Epanechnikov CDF (see EpaCdfV8 for the branchless-clamp
-/// argument; it is exact at the boundaries in double too).
-__attribute__((target("avx2,fma"))) inline __m256d EpaCdfV4(__m256d z) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  z = _mm256_min_pd(_mm256_max_pd(z, _mm256_set1_pd(-1.0)), one);
-  const __m256d z3 = _mm256_mul_pd(_mm256_mul_pd(z, z), z);
-  const __m256d t = _mm256_sub_pd(
-      _mm256_fmadd_pd(_mm256_set1_pd(3.0), z, _mm256_set1_pd(2.0)), z3);
-  return _mm256_mul_pd(_mm256_set1_pd(0.25), t);
+// ---------------------------------------------------------------------------
+// 4-wide double Epanechnikov lanes, bitwise equal to the scalar body on
+// every input. They evaluate the scalar expressions of kernels.h
+// operation for operation, in the same order, with the per-lane
+// reciprocals computed by the same divides. No FMA may stand in for a
+// multiply and an add: these functions compile for avx2 alone, so the
+// fma instructions are not available to them, and the file builds with
+// -ffp-contract=off so that a -mfma build cannot contract them (or the
+// scalar body) either.
+
+/// kernel::EpanechnikovCdf: `0.25 * ((2 + 3z) - (z*z)*z)` on z clamped to
+/// [-1, 1]. The polynomial is exactly 0 at z = -1 and exactly 1 at z = 1,
+/// the constants the scalar branches return outside the support. The
+/// clamp keeps a NaN z (max/min return their second operand on NaN), as
+/// the scalar comparisons do.
+__attribute__((target("avx2"))) inline __m256d EpaCdfV4(__m256d z) {
+  z = _mm256_min_pd(_mm256_set1_pd(1.0),
+                    _mm256_max_pd(_mm256_set1_pd(-1.0), z));
+  const __m256d poly = _mm256_sub_pd(
+      _mm256_add_pd(_mm256_set1_pd(2.0),
+                    _mm256_mul_pd(_mm256_set1_pd(3.0), z)),
+      _mm256_mul_pd(_mm256_mul_pd(z, z), z));
+  return _mm256_mul_pd(_mm256_set1_pd(0.25), poly);
 }
 
-/// Double-precision Epanechnikov fused contribution: 4-wide lanes (the
-/// only fully vectorizable double kernel — pure polynomial), scalar
-/// double tail. Within FMA-contraction rounding of the scalar backend.
-__attribute__((target("avx2,fma"))) void ContributionEpaDoubleAvx2(
+/// kernel::EpanechnikovCdfDiffHoisted.
+__attribute__((target("avx2"))) inline __m256d CdfDiffEpaV4(__m256d t,
+                                                            __m256d inv,
+                                                            __m256d lo,
+                                                            __m256d hi) {
+  const __m256d zu = _mm256_mul_pd(_mm256_sub_pd(hi, t), inv);
+  const __m256d zl = _mm256_mul_pd(_mm256_sub_pd(lo, t), inv);
+  return _mm256_sub_pd(EpaCdfV4(zu), EpaCdfV4(zl));
+}
+
+/// The Epanechnikov density `0.75 * (1 - z*z)`, masked to +0.0 outside
+/// the support. There the product is <= 0 (exactly +0 at |z| = 1), and
+/// max(+0, x) returns +0, so `z * density` keeps the sign of the scalar
+/// `z * 0.0`; a NaN x is the second operand and passes through.
+__attribute__((target("avx2"))) inline __m256d EpaDensityV4(__m256d z) {
+  const __m256d k = _mm256_mul_pd(
+      _mm256_set1_pd(0.75),
+      _mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(z, z)));
+  return _mm256_max_pd(_mm256_setzero_pd(), k);
+}
+
+/// kernel::EpanechnikovCdfDiffDhHoisted.
+__attribute__((target("avx2"))) inline __m256d CdfDiffDhEpaV4(__m256d t,
+                                                              __m256d inv,
+                                                              __m256d lo,
+                                                              __m256d hi) {
+  const __m256d zl = _mm256_mul_pd(_mm256_sub_pd(lo, t), inv);
+  const __m256d zu = _mm256_mul_pd(_mm256_sub_pd(hi, t), inv);
+  return _mm256_mul_pd(
+      _mm256_sub_pd(_mm256_mul_pd(zl, EpaDensityV4(zl)),
+                    _mm256_mul_pd(zu, EpaDensityV4(zu))),
+      inv);
+}
+
+/// Coordinate j of points [i, i + 4), widened to double.
+__attribute__((target("avx2"))) inline __m256d LoadWide4(const float* p) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+
+/// The lanes' reciprocal bandwidth in dimension j: the hoisted `1 / h_j`,
+/// or with point scales the `1 / (h_j * s_i)` each lane divides, as the
+/// scalar body does (not `(1/h_j) * (1/s_i)`, which rounds differently).
+__attribute__((target("avx2"))) inline __m256d InvV4(
+    const ShardKernelView& v, const double* inv_h, std::size_t j,
+    __m256d scale) {
+  if (v.scales == nullptr) return _mm256_set1_pd(inv_h[j]);
+  return _mm256_div_pd(_mm256_set1_pd(1.0),
+                       _mm256_mul_pd(_mm256_set1_pd(v.h[j]), scale));
+}
+
+/// Double-precision Epanechnikov fused contribution: ScalarContribution
+/// on 4-wide lanes. The remainder tail runs the scalar body.
+__attribute__((target("avx2"))) void ContributionEpaDoubleAvx2(
     const ShardKernelView& v, const double* qb, double* contrib,
     std::size_t begin, std::size_t end) {
   const std::size_t d = v.d;
   const std::size_t stride = v.stride;
-  double inv_d[kMaxDims];
-  for (std::size_t j = 0; j < d; ++j) inv_d[j] = 1.0 / v.h[j];
+  double inv_h[kMaxDims];
+  for (std::size_t j = 0; j < d; ++j) {
+    inv_h[j] = kernel::HoistFactors(v.kernel, v.h[j]).inv_cdf;
+  }
   const __m256d one = _mm256_set1_pd(1.0);
   std::size_t i = begin;
   for (; i + 4 <= end; i += 4) {
-    __m256d rcp = one;
-    if (v.scales != nullptr) {
-      rcp = _mm256_div_pd(one,
-                          _mm256_cvtps_pd(_mm_loadu_ps(v.scales + i)));
-    }
+    __m256d scale = one;
+    if (v.scales != nullptr) scale = LoadWide4(v.scales + i);
     __m256d prod = one;
     for (std::size_t j = 0; j < d; ++j) {
-      const __m256d t =
-          _mm256_cvtps_pd(_mm_loadu_ps(v.sample + j * stride + i));
-      __m256d inv = _mm256_set1_pd(inv_d[j]);
-      if (v.scales != nullptr) inv = _mm256_mul_pd(inv, rcp);
-      const __m256d zu = _mm256_mul_pd(
-          _mm256_sub_pd(_mm256_set1_pd(qb[d + j]), t), inv);
-      const __m256d zl =
-          _mm256_mul_pd(_mm256_sub_pd(_mm256_set1_pd(qb[j]), t), inv);
-      prod = _mm256_mul_pd(prod, _mm256_sub_pd(EpaCdfV4(zu), EpaCdfV4(zl)));
+      const __m256d t = LoadWide4(v.sample + j * stride + i);
+      prod = _mm256_mul_pd(
+          prod, CdfDiffEpaV4(t, InvV4(v, inv_h, j, scale),
+                             _mm256_set1_pd(qb[j]),
+                             _mm256_set1_pd(qb[d + j])));
     }
     _mm256_storeu_pd(contrib + i, prod);
   }
   if (i < end) ScalarContribution(v, qb, contrib, i, end);
+}
+
+/// Double-precision Epanechnikov fused contribution+gradient:
+/// ScalarContributionGrad on 4-wide lanes — the suffix products right to
+/// left, the prefix products left to right, the variable model's chain
+/// rule factor s_i last. The remainder tail runs the scalar body.
+__attribute__((target("avx2"))) void ContributionGradEpaDoubleAvx2(
+    const ShardKernelView& v, const double* qb, double* contrib,
+    double* partials, std::size_t pitch, std::size_t begin,
+    std::size_t end) {
+  const std::size_t d = v.d;
+  const std::size_t stride = v.stride;
+  // Epanechnikov's two hoisted reciprocals (inv_cdf, inv_dh) are one 1/h.
+  double inv_h[kMaxDims];
+  for (std::size_t j = 0; j < d; ++j) {
+    inv_h[j] = kernel::HoistFactors(v.kernel, v.h[j]).inv_cdf;
+  }
+  const __m256d one = _mm256_set1_pd(1.0);
+  __m256d cdf[kMaxDims];
+  __m256d dcdf[kMaxDims];
+  std::size_t i = begin;
+  for (; i + 4 <= end; i += 4) {
+    __m256d scale = one;
+    if (v.scales != nullptr) scale = LoadWide4(v.scales + i);
+    for (std::size_t j = 0; j < d; ++j) {
+      const __m256d t = LoadWide4(v.sample + j * stride + i);
+      const __m256d inv = InvV4(v, inv_h, j, scale);
+      const __m256d lo = _mm256_set1_pd(qb[j]);
+      const __m256d hi = _mm256_set1_pd(qb[d + j]);
+      cdf[j] = CdfDiffEpaV4(t, inv, lo, hi);
+      __m256d dc = CdfDiffDhEpaV4(t, inv, lo, hi);
+      // Chain rule for the variable model (see the scalar backend).
+      if (v.scales != nullptr) dc = _mm256_mul_pd(scale, dc);
+      dcdf[j] = dc;
+    }
+    __m256d suffix[kMaxDims + 1];
+    suffix[d] = one;
+    for (std::size_t j = d; j-- > 0;) {
+      suffix[j] = _mm256_mul_pd(suffix[j + 1], cdf[j]);
+    }
+    _mm256_storeu_pd(contrib + i, suffix[0]);
+    __m256d prefix = one;
+    for (std::size_t j = 0; j < d; ++j) {
+      _mm256_storeu_pd(
+          partials + j * pitch + i,
+          _mm256_mul_pd(_mm256_mul_pd(prefix, dcdf[j]), suffix[j + 1]));
+      prefix = _mm256_mul_pd(prefix, cdf[j]);
+    }
+  }
+  if (i < end) {
+    ScalarContributionGrad(v, qb, contrib, partials, pitch, i, end);
+  }
 }
 
 #endif  // FKDE_KB_X86
@@ -449,11 +559,17 @@ FKDE_HOT void FusedContributionGrad(const ShardKernelView& view,
                                     double* partials, std::size_t row_pitch,
                                     std::size_t begin, std::size_t end) {
 #if defined(FKDE_KB_X86)
-  if (view.backend == KernelBackend::kSimd && CpuSupportsSimd() &&
-      view.precision == KernelPrecision::kFloat) {
-    ContributionGradFloatAvx2(view, qb, contrib, partials, row_pitch, begin,
-                              end);
-    return;
+  if (view.backend == KernelBackend::kSimd && CpuSupportsSimd()) {
+    if (view.precision == KernelPrecision::kFloat) {
+      ContributionGradFloatAvx2(view, qb, contrib, partials, row_pitch,
+                                begin, end);
+      return;
+    }
+    if (view.kernel == KernelType::kEpanechnikov) {
+      ContributionGradEpaDoubleAvx2(view, qb, contrib, partials, row_pitch,
+                                    begin, end);
+      return;
+    }
   }
 #endif
   ScalarContributionGrad(view, qb, contrib, partials, row_pitch, begin, end);
@@ -477,10 +593,15 @@ FKDE_HOT void Moments(const ShardKernelView& view, double* out,
   }
 }
 
-double MeasureFusedContributionThroughput(KernelBackend backend,
-                                          KernelPrecision precision,
-                                          KernelType kernel, std::size_t rows,
-                                          std::size_t d, int repetitions) {
+namespace {
+
+/// Times `repetitions` single-threaded passes of the fused contribution
+/// loop, or of the fused contribution+gradient loop, over a deterministic
+/// synthetic sample. Returns point-attributes per second.
+double MeasureFusedThroughput(KernelBackend backend,
+                              KernelPrecision precision, KernelType kernel,
+                              std::size_t rows, std::size_t d,
+                              int repetitions, bool gradient) {
   FKDE_CHECK(rows > 0 && d > 0 && d <= kMaxDims && repetitions > 0);
   // Deterministic synthetic sample in [0, 1): an LCG avoids dragging RNG
   // dependencies into this layer.
@@ -503,6 +624,7 @@ double MeasureFusedContributionThroughput(KernelBackend backend,
     qb[d + j] = 0.7;
   }
   std::vector<double> contrib(rows, 0.0);
+  std::vector<double> partials(gradient ? rows * d : 0, 0.0);
 
   ShardKernelView view;
   view.backend = ResolveKernelBackend(backend);
@@ -513,17 +635,42 @@ double MeasureFusedContributionThroughput(KernelBackend backend,
   view.stride = rows;
   view.h = h.data();
 
-  FusedContribution(view, qb.data(), contrib.data(), 0, rows);  // Warm-up.
+  auto pass = [&] {
+    if (gradient) {
+      FusedContributionGrad(view, qb.data(), contrib.data(), partials.data(),
+                            rows, 0, rows);
+    } else {
+      FusedContribution(view, qb.data(), contrib.data(), 0, rows);
+    }
+  };
+  pass();  // Warm-up.
   const auto start = std::chrono::steady_clock::now();
-  for (int rep = 0; rep < repetitions; ++rep) {
-    FusedContribution(view, qb.data(), contrib.data(), 0, rows);
-  }
+  for (int rep = 0; rep < repetitions; ++rep) pass();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   const double ops = static_cast<double>(repetitions) *
                      static_cast<double>(rows) * static_cast<double>(d);
   return ops / std::max(seconds, 1e-9);
+}
+
+}  // namespace
+
+double MeasureFusedContributionThroughput(KernelBackend backend,
+                                          KernelPrecision precision,
+                                          KernelType kernel, std::size_t rows,
+                                          std::size_t d, int repetitions) {
+  return MeasureFusedThroughput(backend, precision, kernel, rows, d,
+                                repetitions, /*gradient=*/false);
+}
+
+double MeasureFusedContributionGradThroughput(KernelBackend backend,
+                                              KernelPrecision precision,
+                                              KernelType kernel,
+                                              std::size_t rows, std::size_t d,
+                                              int repetitions) {
+  return MeasureFusedThroughput(backend, precision, kernel, rows, d,
+                                repetitions, /*gradient=*/true);
 }
 
 const BackendCalibration& CalibrateKernelBackends() {

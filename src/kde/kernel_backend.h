@@ -14,14 +14,20 @@
 ///    With the per-(query, dim) reciprocals hoisted by
 ///    `kernel::HoistFactors` the math is bitwise-identical to the
 ///    pre-backend engine. Also the fallback of every simd body the CPU
-///    or the precision cannot vectorize.
+///    or the precision cannot vectorize, and the remainder tail of the
+///    double lanes.
 ///  * **simd** — explicitly vectorized AVX2 loops, each lane load a
 ///    contiguous run of one strip. 8-wide float lanes in `kFloat`
 ///    precision with the polynomial `ErfApproxF`/`ExpApproxF` math of
-///    kernels.h; 4-wide double lanes for the Epanechnikov contribution in
-///    `kDouble` precision. The other double paths run the scalar body:
-///    the Gaussian needs libm `erf`/`exp` per lane, and there is no
-///    vector libm to lean on.
+///    kernels.h; 4-wide double lanes for the Epanechnikov contribution and
+///    gradient in `kDouble` precision. The Gaussian double paths run the
+///    scalar body: they need libm `erf`/`exp` per lane, and a vector
+///    `erf` cannot reproduce libm's bits.
+///
+/// The engine picks the body from the CPU, not from the device profile:
+/// every shard runs simd where AVX2 is present (unless
+/// `FKDE_KERNEL_BACKEND=scalar`), and the profile only decides whether it
+/// gets float lane math (see KdeEngine::shard_backend).
 ///
 /// ## Precision contract
 ///
@@ -29,9 +35,13 @@
 /// reductions are untouched: float lane products are widened to double at
 /// store. Consequences, pinned by kernel_backend_test:
 ///
-///  * `kDouble` lanes produce estimates within 1e-12 (relative) of the
-///    scalar backend — identical per-point math for the Gaussian; the
-///    vectorized Epanechnikov may differ only by FMA-contraction rounding.
+///  * `kDouble` lanes are bitwise equal to the scalar backend on every
+///    input: the same operations in the same order, with no FMA
+///    contraction (kernel_backend.cc builds with `-ffp-contract=off`),
+///    per-lane point-scale reciprocals by the same divide, and a
+///    branchless clamp that lands exactly on the scalar branches'
+///    constants. Finite inputs give identical bits; NaN bounds give NaN
+///    from both bodies.
 ///  * `kFloat` lanes carry the polynomial-approximation error: each
 ///    Gaussian CDF-difference factor is within 1e-6 absolute (A&S 7.1.26
 ///    bound + float rounding), so a d-dimensional per-point contribution
@@ -156,6 +166,14 @@ double MeasureFusedContributionThroughput(KernelBackend backend,
                                           KernelPrecision precision,
                                           KernelType kernel, std::size_t rows,
                                           std::size_t d, int repetitions);
+
+/// `MeasureFusedContributionThroughput` for the fused contribution+gradient
+/// loop (`FusedContributionGrad`) over the same synthetic points.
+double MeasureFusedContributionGradThroughput(KernelBackend backend,
+                                              KernelPrecision precision,
+                                              KernelType kernel,
+                                              std::size_t rows, std::size_t d,
+                                              int repetitions);
 
 }  // namespace kb
 }  // namespace fkde

@@ -75,13 +75,15 @@ struct DeviceProfile {
   /// one `ops_per_item` unit reported at launch time (we use
   /// one sample-point-attribute as the unit for KDE kernels).
   double compute_throughput = 2.56e8;
-  /// How the fused KDE kernels execute on the host threads backing this
-  /// device (see simd.h). Scalar by default: the seed's per-point loops,
-  /// bit-identical ledger and launch behavior. Engines resolve this
-  /// request per shard via `ResolveKernelBackend` (env override + CPU
-  /// feature dispatch).
+  /// The kernel backend this device models (see simd.h). It does not
+  /// pick the executed body — engines run the vector body wherever the
+  /// CPU has AVX2, since its double math is bitwise equal to scalar —
+  /// but `SimdCpu()` prices its compute at the calibrated simd
+  /// throughput, and only a `kSimd` request lets `kernel_precision`
+  /// select float math. Scalar by default.
   KernelBackend kernel_backend = KernelBackend::kScalar;
-  /// Lane precision of the SIMD path; ignored by the scalar backend.
+  /// Lane precision of the SIMD path; honoured only when
+  /// `kernel_backend` resolves to `kSimd` (double otherwise).
   KernelPrecision kernel_precision = KernelPrecision::kDouble;
 
   /// Profile matching the paper's quad-core Xeon E5620 running Intel's

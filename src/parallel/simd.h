@@ -9,26 +9,31 @@
 ///  * `kScalar` — the seed's per-point loop over `kernel::CdfDiff` and
 ///    friends. Bit-identical to the pre-backend engine.
 ///  * `kSimd`   — an explicitly vectorized AVX2 path (8-wide float /
-///    4-wide double lanes) reading a structure-of-arrays view of the
-///    sample so lanes load contiguous per-dimension strips.
+///    4-wide double lanes) over the dim-major sample strips.
 ///
-/// The *precision* decides the lane type of the SIMD path (and the math
-/// used by the scalar fallback when float is forced):
+/// The *precision* decides the lane type of the SIMD path:
 ///
-///  * `kDouble` — double lane math, libm `erf`/`exp`. Results stay within
-///    1e-12 of the scalar backend (pinned by kernel_backend_test).
+///  * `kDouble` — double lane math. Bitwise equal to the scalar backend
+///    (pinned by kernel_backend_test): the Epanechnikov lanes evaluate the
+///    scalar expressions in the same order without FMA, and the Gaussian
+///    runs the scalar body, since a vector `erf` cannot reproduce libm's
+///    bits.
 ///  * `kFloat`  — float storage and float lane math with polynomial
 ///    `erf`/`exp` approximations (see kde/kernels.h for the documented
 ///    error bounds); accumulation into the contribution/partial buffers
 ///    stays double, so the segmented reductions are unchanged.
 ///
-/// Selection is **per device** through `DeviceProfile::kernel_backend` /
-/// `kernel_precision`, resolved at engine construction with runtime CPU
-/// dispatch: requesting `kSimd` on a machine without AVX2 quietly falls
-/// back to `kScalar`. The environment variables `FKDE_KERNEL_BACKEND`
-/// (`scalar`|`simd`|`auto`) and `FKDE_KERNEL_PRECISION`
-/// (`double`|`float`) override every profile — the CI scalar-fallback leg
-/// sets `FKDE_KERNEL_BACKEND=scalar` and reruns the equivalence suites.
+/// Because the double vector body moves no bit, the engine picks the
+/// body from the CPU: every shard resolves `ResolveKernelBackend(kSimd)`,
+/// i.e. runs simd where AVX2 is present. A device profile's
+/// `DeviceProfile::kernel_backend` request keeps two other meanings: it is
+/// modeled (`DeviceProfile::SimdCpu()`'s calibrated throughput), and only
+/// a request resolving to `kSimd` lets `kernel_precision` select float
+/// math, so stock profiles keep double math. The environment variables
+/// `FKDE_KERNEL_BACKEND` (`scalar`|`simd`|`auto`) and
+/// `FKDE_KERNEL_PRECISION` (`double`|`float`) override every profile — the
+/// CI forced-scalar leg sets `FKDE_KERNEL_BACKEND=scalar`, which pins the
+/// scalar fallback of every device.
 
 #ifndef FKDE_PARALLEL_SIMD_H_
 #define FKDE_PARALLEL_SIMD_H_
@@ -49,7 +54,7 @@ enum class KernelBackend {
 /// Lane precision of the fused kernels (storage is float either way; the
 /// reductions always accumulate in double).
 enum class KernelPrecision {
-  kDouble,  ///< libm erf/exp, 1e-12-equivalent to scalar.
+  kDouble,  ///< Double lanes, bitwise equal to scalar.
   kFloat,   ///< Polynomial erf/exp, documented & test-pinned error bound.
 };
 

@@ -1,13 +1,18 @@
 // Tests for the pluggable kernel backends (kde/kernel_backend.h): the
-// pinned error bounds of the float approximation stack, the simd-vs-scalar
-// equivalence sweep (double path within 1e-12, float path within the
-// documented tolerance, remainder-lane tails included), and the one
-// dim-major sample layout under point replacement and shard migration.
+// pinned error bounds of the float approximation stack, the double vector
+// bodies pinned bit for bit to the scalar body (edge cases at kb level,
+// and every engine path against a direct scalar reference, remainder-lane
+// tails included), the float path within its documented tolerance, and
+// the one dim-major sample layout under point replacement and shard
+// migration.
 
 #include "kde/kernel_backend.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -83,7 +88,208 @@ TEST(FloatApprox, EpanechnikovCdfExactAtSupportBoundaries) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend equivalence sweep.
+// The double bodies at kb level: the vector body against the scalar body,
+// bit for bit, on the inputs where the branchless lanes and the branching
+// scalar code could part.
+
+std::vector<std::uint64_t> BitsOf(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  bits.reserve(values.size());
+  for (double x : values) bits.push_back(std::bit_cast<std::uint64_t>(x));
+  return bits;
+}
+
+// Both fused loops over every point of one double-precision view.
+struct KbPass {
+  std::vector<double> contrib;       // FusedContribution
+  std::vector<double> grad_contrib;  // FusedContributionGrad's estimate
+  std::vector<double> partials;      // d strips of s
+};
+
+struct KbInputs {
+  std::size_t s = 0;
+  std::size_t d = 0;
+  std::vector<float> strips;  // Dim-major, stride s.
+  std::vector<double> h;
+  std::vector<float> scales;  // Empty: no point scales.
+};
+
+KbPass RunKb(KernelBackend backend, KernelType kernel, const KbInputs& in,
+             const std::vector<double>& qb) {
+  kb::ShardKernelView view;
+  view.backend = backend;
+  view.precision = KernelPrecision::kDouble;
+  view.kernel = kernel;
+  view.d = in.d;
+  view.stride = in.s;
+  view = view.Over(in.strips.data(), in.h.data(),
+                   in.scales.empty() ? nullptr : in.scales.data());
+  KbPass pass;
+  pass.contrib.resize(in.s);
+  pass.grad_contrib.resize(in.s);
+  pass.partials.resize(in.d * in.s);
+  kb::FusedContribution(view, qb.data(), pass.contrib.data(), 0, in.s);
+  kb::FusedContributionGrad(view, qb.data(), pass.grad_contrib.data(),
+                            pass.partials.data(), in.s, 0, in.s);
+  return pass;
+}
+
+// The vector body and the scalar body over the same inputs, bit for bit.
+void ExpectBodiesAgree(KernelType kernel, const KbInputs& in,
+                       const std::vector<double>& qb) {
+  const KbPass scalar = RunKb(KernelBackend::kScalar, kernel, in, qb);
+  const KbPass simd = RunKb(KernelBackend::kSimd, kernel, in, qb);
+  EXPECT_EQ(BitsOf(simd.contrib), BitsOf(scalar.contrib));
+  EXPECT_EQ(BitsOf(simd.grad_contrib), BitsOf(scalar.grad_contrib));
+  EXPECT_EQ(BitsOf(simd.partials), BitsOf(scalar.partials));
+}
+
+// One dimension, h = 0.25 (an exact 1/h of 4), points placed on the box
+// [0.25, 0.75]: at l, at u, at z = -1 / +1 for either bound, just inside
+// and outside the edges. Nine points: two full lanes and a one-point
+// tail, with the lanes holding every kind of point.
+KbInputs EdgePoints(bool with_scales) {
+  KbInputs in;
+  in.s = 9;
+  in.d = 1;
+  in.strips = {0.25f, 0.75f, 0.5f, 0.0f, 1.0f, 0.25f,
+               std::nextafter(0.75f, 1.0f), std::nextafter(0.5f, 0.0f),
+               0.75f};
+  in.h = {0.25};
+  if (with_scales) {
+    in.scales = {1.0f, 0.5f, 1.0f, 1.0f, 1.0f, 2.0f, 1.0f, 0.75f, 4.0f};
+  }
+  return in;
+}
+
+TEST(KbEdgeCases, BoundaryPointsMatchScalarBranches) {
+  for (const bool with_scales : {false, true}) {
+    SCOPED_TRACE(with_scales ? "point scales" : "no scales");
+    const KbInputs in = EdgePoints(with_scales);
+    for (const KernelType kernel :
+         {KernelType::kEpanechnikov, KernelType::kGaussian}) {
+      ExpectBodiesAgree(kernel, in, {0.25, 0.75});
+    }
+  }
+  // The clamp lands exactly on the scalar branches' constants: a point
+  // at the box centre sees z = -1 and z = +1, so F(1) - F(-1) = 1.
+  const KbPass simd = RunKb(KernelBackend::kSimd, KernelType::kEpanechnikov,
+                            EdgePoints(false), {0.25, 0.75});
+  EXPECT_EQ(simd.contrib[2], 1.0);
+  EXPECT_EQ(simd.contrib[3], 0.0);  // z_l = 1: right of the support.
+  EXPECT_EQ(simd.contrib[4], 0.0);  // z_u = -1: left of the support.
+}
+
+TEST(KbEdgeCases, ZeroWidthBoxesMatchScalar) {
+  for (const bool with_scales : {false, true}) {
+    const KbInputs in = EdgePoints(with_scales);
+    for (const double x : {0.25, 0.5, 0.75, 0.0, 2.0}) {
+      ExpectBodiesAgree(KernelType::kEpanechnikov, in, {x, x});
+    }
+  }
+}
+
+TEST(KbEdgeCases, InfiniteBoundsMatchScalarBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const KbInputs in = EdgePoints(false);
+  for (const auto& qb : std::vector<std::vector<double>>{
+           {-inf, inf}, {-inf, 0.5}, {0.5, inf}, {-inf, -inf}, {inf, inf}}) {
+    SCOPED_TRACE(::testing::Message() << "[" << qb[0] << ", " << qb[1] << "]");
+    ExpectBodiesAgree(KernelType::kEpanechnikov, in, qb);
+  }
+}
+
+TEST(KbEdgeCases, NanBoundsGiveNanFromBothBodies) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const bool with_scales : {false, true}) {
+    const KbInputs in = EdgePoints(with_scales);
+    for (const auto& qb :
+         std::vector<std::vector<double>>{{nan, 0.5}, {0.5, nan}, {nan, nan}}) {
+      for (const KernelBackend backend :
+           {KernelBackend::kScalar, KernelBackend::kSimd}) {
+        const KbPass pass = RunKb(backend, KernelType::kEpanechnikov, in, qb);
+        for (std::size_t i = 0; i < in.s; ++i) {
+          EXPECT_TRUE(std::isnan(pass.contrib[i])) << i;
+          EXPECT_TRUE(std::isnan(pass.grad_contrib[i])) << i;
+          EXPECT_TRUE(std::isnan(pass.partials[i])) << i;
+        }
+      }
+    }
+  }
+}
+
+// kernels.h's Epanechnikov expressions with every operation rounded on
+// its own: each intermediate goes through a volatile, so no build of this
+// file can fuse a multiply and an add into one FMA. Contracting the
+// scalar body would agree with contracted lanes and still move the bits
+// every build without fma produces; this oracle catches both.
+double EpaCdfRounded(double z) {
+  if (z <= -1.0) return 0.0;
+  if (z >= 1.0) return 1.0;
+  volatile double three_z = 3.0 * z;
+  volatile double z2 = z * z;
+  volatile double z3 = z2 * z;
+  volatile double head = 2.0 + three_z;
+  volatile double poly = head - z3;
+  volatile double cdf = 0.25 * poly;
+  return cdf;
+}
+
+double EpaDensityTimesZRounded(double z) {
+  if (z <= -1.0 || z >= 1.0) return z * 0.0;
+  volatile double z2 = z * z;
+  volatile double one_minus = 1.0 - z2;
+  volatile double density = 0.75 * one_minus;
+  volatile double product = z * density;
+  return product;
+}
+
+TEST(KbEdgeCases, BodiesRoundEveryOperationAsWritten) {
+  const std::size_t s = 4099;  // Full lanes and a three-point tail.
+  const std::size_t d = 2;
+  Rng rng(41);
+  KbInputs in;
+  in.s = s;
+  in.d = d;
+  for (std::size_t k = 0; k < s * d; ++k) {
+    in.strips.push_back(static_cast<float>(rng.Uniform()));
+  }
+  in.h = {0.3, 0.17};
+  const std::vector<double> qb = {0.2, 0.35, 0.7, 0.6};
+  std::vector<double> contrib(s), partials(d * s);
+  for (std::size_t i = 0; i < s; ++i) {
+    double cdf[d];
+    double dcdf[d];
+    for (std::size_t j = 0; j < d; ++j) {
+      const double t = static_cast<double>(in.strips[j * s + i]);
+      const double inv = 1.0 / in.h[j];
+      const double zl = (qb[j] - t) * inv;
+      const double zu = (qb[d + j] - t) * inv;
+      volatile double upper = EpaCdfRounded(zu);
+      volatile double lower = EpaCdfRounded(zl);
+      cdf[j] = upper - lower;
+      volatile double dl = EpaDensityTimesZRounded(zl);
+      volatile double du = EpaDensityTimesZRounded(zu);
+      volatile double diff = dl - du;
+      dcdf[j] = diff * inv;
+    }
+    contrib[i] = cdf[0] * cdf[1];
+    partials[i] = dcdf[0] * cdf[1];
+    partials[s + i] = cdf[0] * dcdf[1];
+  }
+  for (const KernelBackend backend :
+       {KernelBackend::kScalar, KernelBackend::kSimd}) {
+    SCOPED_TRACE(KernelBackendName(backend));
+    const KbPass pass = RunKb(backend, KernelType::kEpanechnikov, in, qb);
+    EXPECT_EQ(BitsOf(pass.contrib), BitsOf(contrib));
+    EXPECT_EQ(BitsOf(pass.grad_contrib), BitsOf(contrib));
+    EXPECT_EQ(BitsOf(pass.partials), BitsOf(partials));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Backend equivalence sweep: engines against a direct scalar kb
+// reference.
 
 struct EnginePair {
   std::unique_ptr<Device> device;
@@ -132,72 +338,166 @@ std::vector<Box> SweepBoxes(std::size_t d, std::uint64_t seed) {
   return boxes;
 }
 
-// Sweeps s x d x kernel comparing the simd backend against the scalar
-// reference: estimates, gradients, and the batched path. The s values are
-// chosen to exercise the remainder-lane tails (1 and 7 are all-tail; 1023
-// = 127*8 + 7 and 4097 = 512*8 + 1 leave partial tails).
-TEST(BackendEquivalence, SimdMatchesScalarAcrossSizesAndDims) {
+// What a single-shard engine must return for one box, from the scalar kb
+// body: its per-point contributions and partials, folded by the device
+// reduction every engine pass runs, then finished with each path's own
+// host arithmetic (Estimate divides by s; the gradient and batched paths
+// multiply by 1/s; each sums its shards into a 0.0).
+struct ScalarReference {
+  double estimate = 0.0;
+  double batched = 0.0;
+  double grad_estimate = 0.0;
+  std::vector<double> gradient;
+};
+
+ScalarReference ReferenceFor(KernelType kernel, const KbInputs& in,
+                             const Box& box) {
+  const std::size_t s = in.s;
+  const std::size_t d = in.d;
+  std::vector<double> qb(2 * d);
+  for (std::size_t j = 0; j < d; ++j) {
+    qb[j] = box.lower(j);
+    qb[d + j] = box.upper(j);
+  }
+  const KbPass pass = RunKb(KernelBackend::kScalar, kernel, in, qb);
+  Device device(DeviceProfile::OpenClCpu());
+  DeviceBuffer<double> contrib = device.CreateBuffer<double>(s);
+  DeviceBuffer<double> grad_contrib = device.CreateBuffer<double>(s);
+  DeviceBuffer<double> partials = device.CreateBuffer<double>(d * s);
+  DeviceBuffer<double> partial_sums = device.CreateBuffer<double>(d);
+  device.CopyToDevice(pass.contrib.data(), s, &contrib);
+  device.CopyToDevice(pass.grad_contrib.data(), s, &grad_contrib);
+  device.CopyToDevice(pass.partials.data(), d * s, &partials);
+  ReduceSumSegments(&device, partials, 0, s, d, &partial_sums);
+  std::vector<double> sums(d);
+  device.CopyToHost(partial_sums, 0, d, sums.data());
+
+  const double inv_s = 1.0 / static_cast<double>(s);
+  ScalarReference ref;
+  const double total = 0.0 + ReduceSum(&device, contrib, 0, s);
+  ref.estimate = total / static_cast<double>(s);
+  ref.batched = total * inv_s;
+  ref.grad_estimate = (0.0 + ReduceSum(&device, grad_contrib, 0, s)) * inv_s;
+  for (const double sum : sums) ref.gradient.push_back((0.0 + sum) * inv_s);
+  return ref;
+}
+
+KbInputs InputsOf(const std::vector<double>& rows, std::size_t s,
+                  std::size_t d, const std::vector<double>& h,
+                  const std::vector<double>& scales) {
+  KbInputs in;
+  in.s = s;
+  in.d = d;
+  in.strips.resize(s * d);
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      in.strips[j * s + i] = static_cast<float>(rows[i * d + j]);
+    }
+  }
+  in.h = h;
+  for (const double x : scales) in.scales.push_back(static_cast<float>(x));
+  return in;
+}
+
+// Sweeps kernel x s x d, with or without point scales. Every double engine
+// — the stock cpu and gpu profiles, which run the vector body wherever
+// the CPU has AVX2, and cpu-simd held to double — must return the scalar
+// reference's bits on every path; the float engine stays within its
+// documented bounds. The s values exercise the remainder-lane tails (1
+// and 7 are all-tail for 8-wide lanes; 1023 and 4097 leave partial tails
+// for 4- and 8-wide lanes alike).
+void SweepAgainstScalarReference(bool with_scales) {
   for (const KernelType kernel :
        {KernelType::kGaussian, KernelType::kEpanechnikov}) {
     for (const std::size_t s : {std::size_t{1}, std::size_t{7},
                                 std::size_t{1023}, std::size_t{4097}}) {
-      for (const std::size_t d :
-           {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+      for (const std::size_t d : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{8}, kb::kMaxDims}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "kernel=" << static_cast<int>(kernel) << " s=" << s
+                     << " d=" << d << (with_scales ? " scaled" : ""));
         const std::vector<double> rows = MakeRows(s, d, 17 * s + d);
-        EnginePair scalar =
-            MakeEngine(DeviceProfile::OpenClCpu(), rows, s, d, kernel);
-        EnginePair simd_f64 =
-            MakeEngine(SimdDoubleProfile(), rows, s, d, kernel);
-        EnginePair simd_f32 =
+        std::vector<double> scales;
+        if (with_scales) {
+          Rng rng(7 + s + d);
+          for (std::size_t i = 0; i < s; ++i) {
+            scales.push_back(0.5 + rng.Uniform());
+          }
+        }
+        std::vector<EnginePair> f64;
+        for (const DeviceProfile& profile :
+             {DeviceProfile::OpenClCpu(), DeviceProfile::SimulatedGtx460(),
+              SimdDoubleProfile()}) {
+          f64.push_back(MakeEngine(profile, rows, s, d, kernel));
+          ASSERT_EQ(f64.back().engine->shard_precision(0),
+                    KernelPrecision::kDouble);
+        }
+        EnginePair f32 =
             MakeEngine(DeviceProfile::SimdCpu(), rows, s, d, kernel);
-        ASSERT_EQ(scalar.engine->shard_backend(0), KernelBackend::kScalar);
-
+        if (with_scales) {
+          for (EnginePair& pair : f64) {
+            FKDE_CHECK_OK(pair.engine->SetPointScales(scales));
+          }
+          FKDE_CHECK_OK(f32.engine->SetPointScales(scales));
+        }
         // Identical samples and backend-independent moments must yield
         // identical Scott bandwidths.
-        ASSERT_EQ(scalar.engine->bandwidth(), simd_f64.engine->bandwidth());
-        ASSERT_EQ(scalar.engine->bandwidth(), simd_f32.engine->bandwidth());
+        const std::vector<double> h = f64[0].engine->bandwidth();
+        for (const EnginePair& pair : f64) {
+          ASSERT_EQ(pair.engine->bandwidth(), h);
+        }
+        ASSERT_EQ(f32.engine->bandwidth(), h);
+        const KbInputs in = InputsOf(rows, s, d, h, scales);
 
         const std::vector<Box> boxes = SweepBoxes(d, 23 * s + d);
-        std::vector<double> g_ref, g_f64, g_f32;
+        std::vector<ScalarReference> refs;
         for (const Box& box : boxes) {
-          const double ref =
-              scalar.engine->EstimateWithGradient(box, &g_ref);
-          const double e64 =
-              simd_f64.engine->EstimateWithGradient(box, &g_f64);
-          const double e32 =
-              simd_f32.engine->EstimateWithGradient(box, &g_f32);
+          refs.push_back(ReferenceFor(kernel, in, box));
+        }
 
-          // Double lanes: 1e-12 relative of the scalar backend.
-          EXPECT_NEAR(e64, ref, 1e-12 * std::max(1.0, std::abs(ref)));
-          for (std::size_t j = 0; j < d; ++j) {
-            EXPECT_NEAR(g_f64[j], g_ref[j],
-                        1e-12 * std::max(1.0, std::abs(g_ref[j])));
+        // Double engines: the reference's bits on every path.
+        std::vector<double> g;
+        std::vector<double> batch(boxes.size());
+        std::vector<double> batch_g(boxes.size());
+        std::vector<double> batch_grad(boxes.size() * d);
+        for (EnginePair& pair : f64) {
+          SCOPED_TRACE(pair.device->profile().name);
+          for (std::size_t q = 0; q < boxes.size(); ++q) {
+            EXPECT_EQ(pair.engine->Estimate(boxes[q]), refs[q].estimate);
+            EXPECT_EQ(pair.engine->EstimateWithGradient(boxes[q], &g),
+                      refs[q].grad_estimate);
+            EXPECT_EQ(g, refs[q].gradient);
           }
-
-          // Float lanes: the documented absolute estimate bound, and an
-          // atol+rtol form for the gradient (its scale carries 1/h^2).
-          EXPECT_NEAR(e32, ref, kb::FloatPathEstimateTolerance(d));
-          for (std::size_t j = 0; j < d; ++j) {
-            const double h = scalar.engine->bandwidth()[j];
-            const double tol =
-                1e-4 * std::max(1.0, std::abs(g_ref[j])) + 2e-5 / h;
-            EXPECT_NEAR(g_f32[j], g_ref[j], tol)
-                << "kernel=" << static_cast<int>(kernel) << " s=" << s
-                << " d=" << d << " j=" << j;
+          pair.engine->EstimateBatch(boxes, batch);
+          pair.engine->EstimateBatchWithGradient(boxes, batch_g, batch_grad);
+          for (std::size_t q = 0; q < boxes.size(); ++q) {
+            EXPECT_EQ(batch[q], refs[q].batched);
+            EXPECT_EQ(batch_g[q], refs[q].grad_estimate);
+            for (std::size_t j = 0; j < d; ++j) {
+              EXPECT_EQ(batch_grad[q * d + j], refs[q].gradient[j]);
+            }
           }
         }
 
-        // Batched path, all queries in one pass.
-        std::vector<double> batch_ref(boxes.size());
-        std::vector<double> batch_f64(boxes.size());
-        std::vector<double> batch_f32(boxes.size());
-        scalar.engine->EstimateBatch(boxes, batch_ref);
-        simd_f64.engine->EstimateBatch(boxes, batch_f64);
-        simd_f32.engine->EstimateBatch(boxes, batch_f32);
+        // Float lanes: the documented absolute estimate bound, and an
+        // atol+rtol form for the gradient (its scale carries 1/h^2).
         for (std::size_t q = 0; q < boxes.size(); ++q) {
-          EXPECT_NEAR(batch_f64[q], batch_ref[q],
-                      1e-12 * std::max(1.0, std::abs(batch_ref[q])));
-          EXPECT_NEAR(batch_f32[q], batch_ref[q],
+          EXPECT_NEAR(f32.engine->Estimate(boxes[q]), refs[q].estimate,
+                      kb::FloatPathEstimateTolerance(d));
+          if (with_scales) continue;
+          EXPECT_NEAR(f32.engine->EstimateWithGradient(boxes[q], &g),
+                      refs[q].grad_estimate,
+                      kb::FloatPathEstimateTolerance(d));
+          for (std::size_t j = 0; j < d; ++j) {
+            const double tol =
+                1e-4 * std::max(1.0, std::abs(refs[q].gradient[j])) +
+                2e-5 / h[j];
+            EXPECT_NEAR(g[j], refs[q].gradient[j], tol) << "j=" << j;
+          }
+        }
+        f32.engine->EstimateBatch(boxes, batch);
+        for (std::size_t q = 0; q < boxes.size(); ++q) {
+          EXPECT_NEAR(batch[q], refs[q].batched,
                       kb::FloatPathEstimateTolerance(d));
         }
       }
@@ -205,33 +505,14 @@ TEST(BackendEquivalence, SimdMatchesScalarAcrossSizesAndDims) {
   }
 }
 
-// The variable-KDE point scales defeat the per-query hoist; both backends
-// must still agree.
+TEST(BackendEquivalence, SimdMatchesScalarAcrossSizesAndDims) {
+  SweepAgainstScalarReference(/*with_scales=*/false);
+}
+
+// The variable-KDE point scales defeat the per-query hoist: each lane
+// divides 1 / (h_j * s_i) as the scalar body does.
 TEST(BackendEquivalence, SimdMatchesScalarWithPointScales) {
-  const std::size_t s = 1023;
-  const std::size_t d = 3;
-  const std::vector<double> rows = MakeRows(s, d, 99);
-  for (const KernelType kernel :
-       {KernelType::kGaussian, KernelType::kEpanechnikov}) {
-    EnginePair scalar =
-        MakeEngine(DeviceProfile::OpenClCpu(), rows, s, d, kernel);
-    EnginePair simd_f64 = MakeEngine(SimdDoubleProfile(), rows, s, d, kernel);
-    EnginePair simd_f32 =
-        MakeEngine(DeviceProfile::SimdCpu(), rows, s, d, kernel);
-    Rng rng(7);
-    std::vector<double> scales(s);
-    for (double& x : scales) x = 0.5 + rng.Uniform();
-    FKDE_CHECK_OK(scalar.engine->SetPointScales(scales));
-    FKDE_CHECK_OK(simd_f64.engine->SetPointScales(scales));
-    FKDE_CHECK_OK(simd_f32.engine->SetPointScales(scales));
-    for (const Box& box : SweepBoxes(d, 31)) {
-      const double ref = scalar.engine->Estimate(box);
-      EXPECT_NEAR(simd_f64.engine->Estimate(box), ref,
-                  1e-12 * std::max(1.0, std::abs(ref)));
-      EXPECT_NEAR(simd_f32.engine->Estimate(box), ref,
-                  kb::FloatPathEstimateTolerance(d));
-    }
-  }
+  SweepAgainstScalarReference(/*with_scales=*/true);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,6 +646,27 @@ TEST(BackendResolution, EnvOverrideForcesScalar) {
   } else if (CpuSupportsSimd()) {
     EXPECT_EQ(ResolveKernelBackend(KernelBackend::kSimd),
               KernelBackend::kSimd);
+  }
+}
+
+TEST(BackendResolution, BodyFollowsTheCpuAndProfileGatesFloat) {
+  // Every device runs the vector body where the CPU has it; only a simd
+  // profile asking for float gets float lane math.
+  const std::vector<double> rows = MakeRows(64, 2, 3);
+  for (const DeviceProfile& profile :
+       {DeviceProfile::OpenClCpu(), DeviceProfile::SimulatedGtx460(),
+        SimdDoubleProfile(), DeviceProfile::SimdCpu()}) {
+    SCOPED_TRACE(profile.name);
+    EnginePair pair =
+        MakeEngine(profile, rows, 64, 2, KernelType::kEpanechnikov);
+    EXPECT_EQ(pair.engine->shard_backend(0),
+              ResolveKernelBackend(KernelBackend::kSimd));
+    const bool float_math =
+        ResolveKernelBackend(profile.kernel_backend) == KernelBackend::kSimd &&
+        ResolveKernelPrecision(profile.kernel_precision) ==
+            KernelPrecision::kFloat;
+    EXPECT_EQ(pair.engine->shard_precision(0),
+              float_math ? KernelPrecision::kFloat : KernelPrecision::kDouble);
   }
 }
 
