@@ -182,13 +182,29 @@ __attribute__((target("avx2,fma"))) inline __m256 CdfDiffV8(
   return _mm256_sub_ps(EpaCdfV8(zu), EpaCdfV8(zl));
 }
 
+/// 8-wide kernel::FiniteOffset: lanes holding ±inf become +0.
+__attribute__((target("avx2,fma"))) inline __m256 FiniteOffsetV8(__m256 x) {
+  const __m256 abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0f), x);
+  const __m256 inf =
+      _mm256_cmp_ps(abs, _mm256_set1_ps(HUGE_VALF), _CMP_EQ_OQ);
+  return _mm256_andnot_ps(inf, x);
+}
+
+/// 8-wide kernel::ClampToSupport. z is the second operand of max and min,
+/// which return it when it is NaN or equal to the constant (a signed
+/// zero stays as it is).
+__attribute__((target("avx2,fma"))) inline __m256 ClampToSupportV8(__m256 z) {
+  return _mm256_min_ps(_mm256_set1_ps(1.0f),
+                       _mm256_max_ps(_mm256_set1_ps(-1.0f), z));
+}
+
 /// 8-wide mirror of kernel::GaussianCdfDiffDhF over the hoisted 1/h².
 __attribute__((target("avx2,fma"))) inline __m256 DcdfGaussV8(__m256 t,
                                                               __m256 inv_h2,
                                                               __m256 lo,
                                                               __m256 hi) {
-  const __m256 dl = _mm256_sub_ps(lo, t);
-  const __m256 du = _mm256_sub_ps(hi, t);
+  const __m256 dl = FiniteOffsetV8(_mm256_sub_ps(lo, t));
+  const __m256 du = FiniteOffsetV8(_mm256_sub_ps(hi, t));
   const __m256 mhalf = _mm256_set1_ps(-0.5f);
   const __m256 el = ExpV8(
       _mm256_mul_ps(mhalf, _mm256_mul_ps(_mm256_mul_ps(dl, dl), inv_h2)));
@@ -201,20 +217,18 @@ __attribute__((target("avx2,fma"))) inline __m256 DcdfGaussV8(__m256 t,
 }
 
 /// 8-wide mirror of kernel::EpanechnikovCdfDiffDhF over the hoisted 1/h.
-/// The density mask is max(0, 0.75(1-z²)) — negative outside the support
-/// and exactly zero at its edge, matching the branching scalar mirror.
+/// On the clamped z the density 0.75(1-z²) is >= 0, exactly zero at the
+/// support's edge, so it needs no mask.
 __attribute__((target("avx2,fma"))) inline __m256 DcdfEpaV8(__m256 t,
                                                             __m256 inv,
                                                             __m256 lo,
                                                             __m256 hi) {
-  const __m256 zl = _mm256_mul_ps(_mm256_sub_ps(lo, t), inv);
-  const __m256 zu = _mm256_mul_ps(_mm256_sub_ps(hi, t), inv);
-  const __m256 zero = _mm256_setzero_ps();
+  const __m256 zl = ClampToSupportV8(_mm256_mul_ps(_mm256_sub_ps(lo, t), inv));
+  const __m256 zu = ClampToSupportV8(_mm256_mul_ps(_mm256_sub_ps(hi, t), inv));
   const __m256 c = _mm256_set1_ps(0.75f);
-  const __m256 kl = _mm256_max_ps(
-      zero, _mm256_mul_ps(c, _mm256_fnmadd_ps(zl, zl, _mm256_set1_ps(1.0f))));
-  const __m256 ku = _mm256_max_ps(
-      zero, _mm256_mul_ps(c, _mm256_fnmadd_ps(zu, zu, _mm256_set1_ps(1.0f))));
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 kl = _mm256_mul_ps(c, _mm256_fnmadd_ps(zl, zl, one));
+  const __m256 ku = _mm256_mul_ps(c, _mm256_fnmadd_ps(zu, zu, one));
   return _mm256_mul_ps(
       _mm256_fmsub_ps(zl, kl, _mm256_mul_ps(zu, ku)), inv);
 }
@@ -386,14 +400,18 @@ __attribute__((target("avx2,fma"))) void ContributionGradFloatAvx2(
 // -ffp-contract=off so that a -mfma build cannot contract them (or the
 // scalar body) either.
 
-/// kernel::EpanechnikovCdf: `0.25 * ((2 + 3z) - (z*z)*z)` on z clamped to
-/// [-1, 1]. The polynomial is exactly 0 at z = -1 and exactly 1 at z = 1,
-/// the constants the scalar branches return outside the support. The
-/// clamp keeps a NaN z (max/min return their second operand on NaN), as
-/// the scalar comparisons do.
-__attribute__((target("avx2"))) inline __m256d EpaCdfV4(__m256d z) {
-  z = _mm256_min_pd(_mm256_set1_pd(1.0),
-                    _mm256_max_pd(_mm256_set1_pd(-1.0), z));
+/// kernel::ClampToSupport, with z as the operand max and min return when
+/// it is NaN or equal to the constant, as std::max and std::min do.
+__attribute__((target("avx2"))) inline __m256d ClampToSupportV4(__m256d z) {
+  return _mm256_min_pd(_mm256_set1_pd(1.0),
+                       _mm256_max_pd(_mm256_set1_pd(-1.0), z));
+}
+
+/// kernel::EpanechnikovCdf on a z already clamped to [-1, 1]:
+/// `0.25 * ((2 + 3z) - (z*z)*z)`. The polynomial is exactly 0 at z = -1
+/// and exactly 1 at z = 1, the constants the scalar branches return
+/// outside the support.
+__attribute__((target("avx2"))) inline __m256d EpaPolyV4(__m256d z) {
   const __m256d poly = _mm256_sub_pd(
       _mm256_add_pd(_mm256_set1_pd(2.0),
                     _mm256_mul_pd(_mm256_set1_pd(3.0), z)),
@@ -401,38 +419,35 @@ __attribute__((target("avx2"))) inline __m256d EpaCdfV4(__m256d z) {
   return _mm256_mul_pd(_mm256_set1_pd(0.25), poly);
 }
 
-/// kernel::EpanechnikovCdfDiffHoisted.
-__attribute__((target("avx2"))) inline __m256d CdfDiffEpaV4(__m256d t,
-                                                            __m256d inv,
-                                                            __m256d lo,
-                                                            __m256d hi) {
-  const __m256d zu = _mm256_mul_pd(_mm256_sub_pd(hi, t), inv);
-  const __m256d zl = _mm256_mul_pd(_mm256_sub_pd(lo, t), inv);
-  return _mm256_sub_pd(EpaCdfV4(zu), EpaCdfV4(zl));
+/// z times the Epanechnikov density, `z * (0.75 * (1 - z*z))`, on a z
+/// already clamped to [-1, 1]. There the density is >= +0 (exactly +0 at
+/// |z| = 1), so no mask is needed: ±1 * +0 keeps the sign of the scalar
+/// `z * 0.0` outside the support, and a NaN z passes through.
+__attribute__((target("avx2"))) inline __m256d EpaZDensityV4(__m256d z) {
+  const __m256d one_minus = _mm256_sub_pd(_mm256_set1_pd(1.0),
+                                         _mm256_mul_pd(z, z));
+  return _mm256_mul_pd(z, _mm256_mul_pd(_mm256_set1_pd(0.75), one_minus));
 }
 
-/// The Epanechnikov density `0.75 * (1 - z*z)`, masked to +0.0 outside
-/// the support. There the product is <= 0 (exactly +0 at |z| = 1), and
-/// max(+0, x) returns +0, so `z * density` keeps the sign of the scalar
-/// `z * 0.0`; a NaN x is the second operand and passes through.
-__attribute__((target("avx2"))) inline __m256d EpaDensityV4(__m256d z) {
-  const __m256d k = _mm256_mul_pd(
-      _mm256_set1_pd(0.75),
-      _mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(z, z)));
-  return _mm256_max_pd(_mm256_setzero_pd(), k);
+/// The lanes' clamped z = (x - t) * inv of one query bound x.
+__attribute__((target("avx2"))) inline __m256d ClampedZV4(__m256d x,
+                                                          __m256d t,
+                                                          __m256d inv) {
+  return ClampToSupportV4(_mm256_mul_pd(_mm256_sub_pd(x, t), inv));
 }
 
-/// kernel::EpanechnikovCdfDiffDhHoisted.
-__attribute__((target("avx2"))) inline __m256d CdfDiffDhEpaV4(__m256d t,
-                                                              __m256d inv,
-                                                              __m256d lo,
-                                                              __m256d hi) {
-  const __m256d zl = _mm256_mul_pd(_mm256_sub_pd(lo, t), inv);
-  const __m256d zu = _mm256_mul_pd(_mm256_sub_pd(hi, t), inv);
-  return _mm256_mul_pd(
-      _mm256_sub_pd(_mm256_mul_pd(zl, EpaDensityV4(zl)),
-                    _mm256_mul_pd(zu, EpaDensityV4(zu))),
-      inv);
+/// kernel::EpanechnikovCdfDiffHoisted from the clamped zl, zu.
+__attribute__((target("avx2"))) inline __m256d CdfDiffEpaV4(__m256d zl,
+                                                            __m256d zu) {
+  return _mm256_sub_pd(EpaPolyV4(zu), EpaPolyV4(zl));
+}
+
+/// kernel::EpanechnikovCdfDiffDhHoisted from the same clamped zl, zu.
+__attribute__((target("avx2"))) inline __m256d CdfDiffDhEpaV4(__m256d zl,
+                                                              __m256d zu,
+                                                              __m256d inv) {
+  return _mm256_mul_pd(_mm256_sub_pd(EpaZDensityV4(zl), EpaZDensityV4(zu)),
+                       inv);
 }
 
 /// Coordinate j of points [i, i + 4), widened to double.
@@ -470,10 +485,10 @@ __attribute__((target("avx2"))) void ContributionEpaDoubleAvx2(
     __m256d prod = one;
     for (std::size_t j = 0; j < d; ++j) {
       const __m256d t = LoadWide4(v.sample + j * stride + i);
+      const __m256d inv = InvV4(v, inv_h, j, scale);
       prod = _mm256_mul_pd(
-          prod, CdfDiffEpaV4(t, InvV4(v, inv_h, j, scale),
-                             _mm256_set1_pd(qb[j]),
-                             _mm256_set1_pd(qb[d + j])));
+          prod, CdfDiffEpaV4(ClampedZV4(_mm256_set1_pd(qb[j]), t, inv),
+                             ClampedZV4(_mm256_set1_pd(qb[d + j]), t, inv)));
     }
     _mm256_storeu_pd(contrib + i, prod);
   }
@@ -507,8 +522,10 @@ __attribute__((target("avx2"))) void ContributionGradEpaDoubleAvx2(
       const __m256d inv = InvV4(v, inv_h, j, scale);
       const __m256d lo = _mm256_set1_pd(qb[j]);
       const __m256d hi = _mm256_set1_pd(qb[d + j]);
-      cdf[j] = CdfDiffEpaV4(t, inv, lo, hi);
-      __m256d dc = CdfDiffDhEpaV4(t, inv, lo, hi);
+      const __m256d zl = ClampedZV4(lo, t, inv);
+      const __m256d zu = ClampedZV4(hi, t, inv);
+      cdf[j] = CdfDiffEpaV4(zl, zu);
+      __m256d dc = CdfDiffDhEpaV4(zl, zu, inv);
       // Chain rule for the variable model (see the scalar backend).
       if (v.scales != nullptr) dc = _mm256_mul_pd(scale, dc);
       dcdf[j] = dc;

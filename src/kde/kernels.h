@@ -19,6 +19,7 @@
 #ifndef FKDE_KDE_KERNELS_H_
 #define FKDE_KDE_KERNELS_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -50,13 +51,38 @@ inline double GaussianCdfDiff(double t, double h, double l, double u) {
   return 0.5 * (std::erf((u - t) * inv) - std::erf((l - t) * inv));
 }
 
+/// A bound's offset x = l - t for the Gaussian density term
+/// x exp(-x^2 / 2h^2), with an infinite offset (a half-open bound) taken
+/// as 0: the term's limit is 0, where inf * 0 would give NaN. A finite
+/// offset passes unchanged.
+template <class T>
+inline T FiniteOffset(T x) {
+  return std::isinf(x) ? T(0) : x;
+}
+
+/// z clamped to the Epanechnikov support [-1, 1] for the density term
+/// z K(z). Outside the support K is zero and the clamped z keeps the
+/// product's signed zero, but an infinite z (a half-open bound) no longer
+/// makes it inf * 0 = NaN. NaN passes through.
+template <class T>
+inline T ClampToSupport(T z) {
+  return std::min(std::max(z, T(-1)), T(1));
+}
+
+/// The Epanechnikov density K(z) = 0.75 (1 - z^2) on a z clamped to the
+/// support: exactly +0 at z = ±1, so no branch zeroes it outside.
+template <class T>
+inline T EpanechnikovDensity(T z) {
+  return T(0.75) * (T(1) - z * z);
+}
+
 /// d/dh of GaussianCdfDiff (one factor of eq. 17):
 ///   (1 / (sqrt(2 pi) h^2)) *
 ///     ((l-t) exp(-(l-t)^2 / 2h^2) - (u-t) exp(-(u-t)^2 / 2h^2)).
 inline double GaussianCdfDiffDh(double t, double h, double l, double u) {
   const double inv_h2 = 1.0 / (h * h);
-  const double dl = l - t;
-  const double du = u - t;
+  const double dl = FiniteOffset(l - t);
+  const double du = FiniteOffset(u - t);
   return kInvSqrt2Pi * inv_h2 *
          (dl * std::exp(-0.5 * dl * dl * inv_h2) -
           du * std::exp(-0.5 * du * du * inv_h2));
@@ -81,12 +107,9 @@ inline double EpanechnikovCdfDiff(double t, double h, double l, double u) {
 /// (z_l K(z_l) - z_u K(z_u)) / h (zero outside the support).
 inline double EpanechnikovCdfDiffDh(double t, double h, double l, double u) {
   const double inv = 1.0 / h;
-  const double zl = (l - t) * inv;
-  const double zu = (u - t) * inv;
-  auto density = [](double z) {
-    return (z <= -1.0 || z >= 1.0) ? 0.0 : 0.75 * (1.0 - z * z);
-  };
-  return (zl * density(zl) - zu * density(zu)) * inv;
+  const double zl = ClampToSupport((l - t) * inv);
+  const double zu = ClampToSupport((u - t) * inv);
+  return (zl * EpanechnikovDensity(zl) - zu * EpanechnikovDensity(zu)) * inv;
 }
 
 /// Dispatching wrappers (branch predicted perfectly inside kernels since
@@ -136,8 +159,8 @@ inline double GaussianCdfDiffHoisted(double t, double inv, double l,
 
 inline double GaussianCdfDiffDhHoisted(double t, double inv_h2, double l,
                                        double u) {
-  const double dl = l - t;
-  const double du = u - t;
+  const double dl = FiniteOffset(l - t);
+  const double du = FiniteOffset(u - t);
   return kInvSqrt2Pi * inv_h2 *
          (dl * std::exp(-0.5 * dl * dl * inv_h2) -
           du * std::exp(-0.5 * du * du * inv_h2));
@@ -150,12 +173,9 @@ inline double EpanechnikovCdfDiffHoisted(double t, double inv, double l,
 
 inline double EpanechnikovCdfDiffDhHoisted(double t, double inv, double l,
                                            double u) {
-  const double zl = (l - t) * inv;
-  const double zu = (u - t) * inv;
-  auto density = [](double z) {
-    return (z <= -1.0 || z >= 1.0) ? 0.0 : 0.75 * (1.0 - z * z);
-  };
-  return (zl * density(zl) - zu * density(zu)) * inv;
+  const double zl = ClampToSupport((l - t) * inv);
+  const double zu = ClampToSupport((u - t) * inv);
+  return (zl * EpanechnikovDensity(zl) - zu * EpanechnikovDensity(zu)) * inv;
 }
 
 inline double CdfDiffHoisted(KernelType type, double t, double inv, double l,
@@ -248,8 +268,8 @@ inline float GaussianCdfDiffF(float t, float inv, float l, float u) {
 /// the backend tests pin an atol+rtol form.
 inline float GaussianCdfDiffDhF(float t, float inv_h2, float l, float u) {
   constexpr float kInvSqrt2PiF = 0.3989422804014327f;
-  const float dl = l - t;
-  const float du = u - t;
+  const float dl = FiniteOffset(l - t);
+  const float du = FiniteOffset(u - t);
   return kInvSqrt2PiF * inv_h2 *
          (dl * ExpApproxF(-0.5f * dl * dl * inv_h2) -
           du * ExpApproxF(-0.5f * du * du * inv_h2));
@@ -268,12 +288,9 @@ inline float EpanechnikovCdfDiffF(float t, float inv, float l, float u) {
 }
 
 inline float EpanechnikovCdfDiffDhF(float t, float inv, float l, float u) {
-  const float zl = (l - t) * inv;
-  const float zu = (u - t) * inv;
-  auto density = [](float z) {
-    return (z <= -1.0f || z >= 1.0f) ? 0.0f : 0.75f * (1.0f - z * z);
-  };
-  return (zl * density(zl) - zu * density(zu)) * inv;
+  const float zl = ClampToSupport((l - t) * inv);
+  const float zu = ClampToSupport((u - t) * inv);
+  return (zl * EpanechnikovDensity(zl) - zu * EpanechnikovDensity(zu)) * inv;
 }
 
 inline float CdfDiffHoistedF(KernelType type, float t, float inv, float l,

@@ -2,98 +2,253 @@
 
 #include <bit>
 #include <cstring>
+#include <string>
+#include <type_traits>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace fkde {
 namespace {
 
-/// FNV-1a 64-bit over a byte range — the blob's integrity check.
+// ---------------------------------------------------------------------------
+// Little-endian words.
+
+template <class Wire>
+Wire LoadLe(const std::uint8_t* p) {
+  Wire w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&w, p, sizeof(Wire));
+  } else {
+    for (std::size_t b = 0; b < sizeof(Wire); ++b) {
+      w = static_cast<Wire>(w | (Wire(p[b]) << (8 * b)));
+    }
+  }
+  return w;
+}
+
+template <class Wire>
+void StoreLe(Wire w, std::uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &w, sizeof(Wire));
+  } else {
+    for (std::size_t b = 0; b < sizeof(Wire); ++b) {
+      p[b] = static_cast<std::uint8_t>(w >> (8 * b));
+    }
+  }
+}
+
+/// Whether an array of T already holds its Wire words in file order, so a
+/// whole array moves with one memcpy.
+template <class Wire, class T>
+constexpr bool kRawCopy = std::endian::native == std::endian::little &&
+                          std::is_arithmetic_v<T> &&
+                          !std::is_same_v<T, bool> &&
+                          sizeof(T) == sizeof(Wire);
+
+template <class Wire, class T>
+Wire ToWire(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<Wire>(v);
+  } else {
+    return static_cast<Wire>(v);
+  }
+}
+
+template <class T, class Wire>
+T FromWire(Wire w) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<T>(w);
+  } else {
+    return static_cast<T>(w);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Trailers.
+
+constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+
+/// Byte-serial FNV-1a 64 — the v1 trailer, kept so v1 blobs still verify.
 std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvBasis;
   for (std::size_t i = 0; i < n; ++i) {
     h ^= data[i];
-    h *= 0x100000001B3ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
 
-/// Little-endian byte writer over a growing vector.
-class Writer {
+/// The v2 trailer. Four independent lanes each take every fourth
+/// little-endian 8-byte word in an FNV-1a-style step (xor, multiply by an
+/// odd constant, rotate so high bits reach the next multiply's low end);
+/// the lanes fold with odd multipliers, then the words and bytes of the
+/// tail, then the length. Every step is a bijection of the running state,
+/// so any change confined to one word always changes the result.
+std::uint64_t WordChecksum64(const std::uint8_t* data, std::size_t n) {
+  constexpr std::uint64_t kMulA = 0x9E3779B185EBCA87ULL;
+  constexpr std::uint64_t kMulB = 0xC2B2AE3D27D4EB4FULL;
+  const auto step = [](std::uint64_t h, std::uint64_t word,
+                       std::uint64_t mul) {
+    return std::rotl((h ^ word) * mul, 31);
+  };
+  std::uint64_t lane[4] = {kFnvBasis, kFnvBasis ^ 1, kFnvBasis ^ 2,
+                           kFnvBasis ^ 3};
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      lane[k] = step(lane[k], LoadLe<std::uint64_t>(data + i + 8 * k), kMulA);
+    }
+  }
+  std::uint64_t h = kFnvBasis;
+  for (std::uint64_t l : lane) h = step(h, l, kMulB);
+  for (; i + 8 <= n; i += 8) {
+    h = step(h, LoadLe<std::uint64_t>(data + i), kMulA);
+  }
+  for (; i < n; ++i) h = (h ^ data[i]) * kFnvPrime;
+  h = step(h, n, kMulB);
+  h ^= h >> 32;
+  return h;
+}
+
+/// Whether the trailer of `bytes` (at least 8 long) matches its body under
+/// the blob's own version: v1 carries byte-serial FNV-1a-64, later
+/// versions the word checksum.
+bool TrailerMatches(std::span<const std::uint8_t> bytes) {
+  const std::size_t body = bytes.size() - 8;
+  const bool v1 = body >= 8 && LoadLe<std::uint32_t>(bytes.data() + 4) ==
+                                   kModelSnapshotMinVersion;
+  const std::uint64_t expected = v1 ? Fnv1a64(bytes.data(), body)
+                                    : WordChecksum64(bytes.data(), body);
+  return LoadLe<std::uint64_t>(bytes.data() + body) == expected;
+}
+
+// ---------------------------------------------------------------------------
+// Archives. One field walk (HeaderFields/BodyFields below) drives all
+// three: SizeCounter measures the blob, Writer fills it, Reader parses
+// it — so save and restore cannot disagree on order.
+
+/// The field vocabulary of the walks, over two primitives each archive
+/// supplies: `Words<Wire>(v, n)` moves n values as Wire-width words, and
+/// `Count(vec, wire_bytes)` moves a vector's u64 element count (sizing the
+/// vector when reading).
+template <class Derived>
+class Archive {
  public:
-  void U8(std::uint8_t v) { out_.push_back(v); }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
+  void Bool(bool& v) { self().template Words<std::uint8_t>(&v, 1); }
+  template <class T>
+  void U32(T& v) {
+    self().template Words<std::uint32_t>(&v, 1);
   }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(std::uint8_t(v >> (8 * i)));
+  template <class T>
+  void U64(T& v) {
+    self().template Words<std::uint64_t>(&v, 1);
   }
-  void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
-  void Bool(bool v) { U8(v ? 1 : 0); }
-  void Doubles(std::span<const double> v) {
-    U64(v.size());
-    for (double x : v) F64(x);
+  void F64(double& v) { U64(v); }
+  void Doubles(std::vector<double>& v) { Array<std::uint64_t>(v); }
+  void Sizes(std::vector<std::size_t>& v) { Array<std::uint64_t>(v); }
+  void U32s(std::vector<std::uint32_t>& v) { Array<std::uint32_t>(v); }
+
+ private:
+  template <class Wire, class T>
+  void Array(std::vector<T>& v) {
+    self().Count(v, sizeof(Wire));
+    self().template Words<Wire>(v.data(), v.size());
   }
-  void Sizes(std::span<const std::size_t> v) {
-    U64(v.size());
-    for (std::size_t x : v) U64(x);
+  Derived& self() { return static_cast<Derived&>(*this); }
+};
+
+class SizeCounter : public Archive<SizeCounter> {
+ public:
+  template <class Wire, class T>
+  void Words(T*, std::size_t n) {
+    bytes_ += n * sizeof(Wire);
+  }
+  template <class T>
+  void Count(std::vector<T>&, std::size_t) {
+    bytes_ += sizeof(std::uint64_t);
+  }
+  std::size_t bytes() const { return bytes_; }
+
+ private:
+  std::size_t bytes_ = 0;
+};
+
+/// Fills a blob allocated once at its final size.
+class Writer : public Archive<Writer> {
+ public:
+  explicit Writer(std::size_t body_bytes)
+      : out_(body_bytes + sizeof(std::uint64_t)) {}
+
+  template <class Wire, class T>
+  void Words(const T* v, std::size_t n) {
+    std::uint8_t* dst = out_.data() + pos_;
+    if constexpr (kRawCopy<Wire, T>) {
+      if (n > 0) std::memcpy(dst, v, n * sizeof(Wire));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        StoreLe(ToWire<Wire>(v[i]), dst + i * sizeof(Wire));
+      }
+    }
+    pos_ += n * sizeof(Wire);
+  }
+  template <class T>
+  void Count(const std::vector<T>& v, std::size_t) {
+    const std::uint64_t n = v.size();
+    Words<std::uint64_t>(&n, 1);
   }
 
-  /// Appends the checksum of everything written so far and releases the
-  /// finished blob.
+  /// Appends the checksum of everything written and releases the blob.
   std::vector<std::uint8_t> Finish() {
-    U64(Fnv1a64(out_.data(), out_.size()));
+    FKDE_CHECK(pos_ + sizeof(std::uint64_t) == out_.size());
+    StoreLe(WordChecksum64(out_.data(), pos_), out_.data() + pos_);
     return std::move(out_);
   }
 
  private:
   std::vector<std::uint8_t> out_;
+  std::size_t pos_ = 0;
 };
 
-/// Little-endian byte reader; every accessor fails soft by latching
-/// `ok()` false, so call sites chain reads and check once.
-class Reader {
+/// Parses a blob body. Every accessor fails soft by latching `ok()` false
+/// (leaving its target untouched), so the walk runs through and the caller
+/// checks once.
+class Reader : public Archive<Reader> {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  std::uint8_t U8() {
-    if (!Need(1)) return 0;
-    return bytes_[pos_++];
+  template <class Wire, class T>
+  void Words(T* v, std::size_t n) {
+    if (!Fits(n, sizeof(Wire))) return;
+    const std::uint8_t* src = bytes_.data() + pos_;
+    if constexpr (kRawCopy<Wire, T>) {
+      if (n > 0) std::memcpy(v, src, n * sizeof(Wire));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = FromWire<T>(LoadLe<Wire>(src + i * sizeof(Wire)));
+      }
+    }
+    pos_ += n * sizeof(Wire);
   }
-  std::uint32_t U32() {
-    if (!Need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(bytes_[pos_++]) << (8 * i);
-    return v;
-  }
-  std::uint64_t U64() {
-    if (!Need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(bytes_[pos_++]) << (8 * i);
-    return v;
-  }
-  double F64() { return std::bit_cast<double>(U64()); }
-  bool Bool() { return U8() != 0; }
-  std::vector<double> Doubles() {
-    const std::uint64_t n = U64();
-    if (!Need(n * 8)) return {};
-    std::vector<double> v(n);
-    for (auto& x : v) x = F64();
-    return v;
-  }
-  std::vector<std::size_t> Sizes() {
-    const std::uint64_t n = U64();
-    if (!Need(n * 8)) return {};
-    std::vector<std::size_t> v(n);
-    for (auto& x : v) x = static_cast<std::size_t>(U64());
-    return v;
+  /// Sizes `v` to a stored count of elements of at least `wire_bytes`
+  /// each, refusing counts the remaining bytes cannot hold.
+  template <class T>
+  void Count(std::vector<T>& v, std::size_t wire_bytes) {
+    std::uint64_t n = 0;
+    Words<std::uint64_t>(&n, 1);
+    if (!Fits(n, wire_bytes)) return;
+    v.resize(static_cast<std::size_t>(n));
   }
 
   bool ok() const { return ok_; }
-  std::size_t pos() const { return pos_; }
+  bool at_end() const { return pos_ == bytes_.size(); }
 
  private:
-  bool Need(std::uint64_t n) {
-    if (!ok_ || n > bytes_.size() - pos_) {
+  /// Whether n values of `width` bytes remain. Divides rather than
+  /// multiplies, so a hostile n cannot overflow the comparison.
+  bool Fits(std::uint64_t n, std::size_t width) {
+    if (!ok_ || n > (bytes_.size() - pos_) / width) {
       ok_ = false;
       return false;
     }
@@ -105,116 +260,194 @@ class Reader {
   bool ok_ = true;
 };
 
-void WriteConfig(Writer* w, const KdeConfig& c) {
-  w->U64(c.sample_size);
-  w->U32(static_cast<std::uint32_t>(c.kernel));
-  w->U32(static_cast<std::uint32_t>(c.loss));
-  w->F64(c.lambda);
-  w->U64(c.seed);
+// ---------------------------------------------------------------------------
+// The field list.
+
+template <class Ar>
+void HeaderFields(Ar& ar, std::uint32_t& magic, ModelSnapshotHeader& h) {
+  ar.U32(magic);
+  ar.U32(h.version);
+  ar.U32(h.mode);
+  ar.U32(h.dims);
+  ar.U64(h.capacity);
+  ar.U64(h.rows);
+  ar.U32(h.shards);
+}
+
+template <class Ar>
+void ConfigFields(Ar& ar, KdeConfig& c) {
+  ar.U64(c.sample_size);
+  ar.U32(c.kernel);
+  ar.U32(c.loss);
+  ar.F64(c.lambda);
+  ar.U64(c.seed);
   // Adaptive (Listing 1) knobs.
-  w->U64(c.adaptive.mini_batch);
-  w->F64(c.adaptive.alpha);
-  w->F64(c.adaptive.lr_min);
-  w->F64(c.adaptive.lr_max);
-  w->F64(c.adaptive.lr_increase);
-  w->F64(c.adaptive.lr_decrease);
-  w->F64(c.adaptive.lr_initial);
-  w->Bool(c.adaptive.log_updates);
+  ar.U64(c.adaptive.mini_batch);
+  ar.F64(c.adaptive.alpha);
+  ar.F64(c.adaptive.lr_min);
+  ar.F64(c.adaptive.lr_max);
+  ar.F64(c.adaptive.lr_increase);
+  ar.F64(c.adaptive.lr_decrease);
+  ar.F64(c.adaptive.lr_initial);
+  ar.Bool(c.adaptive.log_updates);
   // Karma knobs.
-  w->F64(c.karma.k_max);
-  w->F64(c.karma.threshold);
-  w->U32(static_cast<std::uint32_t>(c.karma.loss));
-  w->F64(c.karma.lambda);
-  w->Bool(c.karma.empty_region_shortcut);
+  ar.F64(c.karma.k_max);
+  ar.F64(c.karma.threshold);
+  ar.U32(c.karma.loss);
+  ar.F64(c.karma.lambda);
+  ar.Bool(c.karma.empty_region_shortcut);
   // Batch-optimizer knobs (the periodic variant re-optimizes with them
   // after restore, so they are state, not just construction input).
-  w->U32(static_cast<std::uint32_t>(c.batch.loss));
-  w->F64(c.batch.lambda);
-  w->Bool(c.batch.log_space);
-  w->F64(c.batch.min_factor);
-  w->F64(c.batch.max_factor);
-  w->U64(c.batch.local.max_iterations);
-  w->U64(c.batch.local.history);
-  w->F64(c.batch.local.gradient_tolerance);
-  w->F64(c.batch.local.f_tolerance);
-  w->U64(c.batch.local.max_line_search_steps);
-  w->U64(c.batch.global.num_samples);
-  w->U64(c.batch.global.num_rounds);
-  w->U64(c.batch.global.starts_per_round);
-  w->F64(c.batch.global.link_radius_fraction);
+  ar.U32(c.batch.loss);
+  ar.F64(c.batch.lambda);
+  ar.Bool(c.batch.log_space);
+  ar.F64(c.batch.min_factor);
+  ar.F64(c.batch.max_factor);
+  ar.U64(c.batch.local.max_iterations);
+  ar.U64(c.batch.local.history);
+  ar.F64(c.batch.local.gradient_tolerance);
+  ar.F64(c.batch.local.f_tolerance);
+  ar.U64(c.batch.local.max_line_search_steps);
+  ar.U64(c.batch.global.num_samples);
+  ar.U64(c.batch.global.num_rounds);
+  ar.U64(c.batch.global.starts_per_round);
+  ar.F64(c.batch.global.link_radius_fraction);
   // SCV knobs (construction-time only; kept for config fidelity).
-  w->F64(c.scv.min_factor);
-  w->F64(c.scv.max_factor);
-  w->U64(c.scv.max_iterations);
-  w->U64(c.scv.restarts);
-  w->U64(c.scv.max_rows);
-  w->U64(c.scv.seed);
-  w->Bool(c.enable_karma);
-  w->Bool(c.enable_reservoir);
-  w->U64(c.feedback_window);
-  w->U64(c.reoptimize_every);
+  ar.F64(c.scv.min_factor);
+  ar.F64(c.scv.max_factor);
+  ar.U64(c.scv.max_iterations);
+  ar.U64(c.scv.restarts);
+  ar.U64(c.scv.max_rows);
+  ar.U64(c.scv.seed);
+  ar.Bool(c.enable_karma);
+  ar.Bool(c.enable_reservoir);
+  ar.U64(c.feedback_window);
+  ar.U64(c.reoptimize_every);
 }
 
-KdeConfig ReadConfig(Reader* r) {
-  KdeConfig c;
-  c.sample_size = static_cast<std::size_t>(r->U64());
-  c.kernel = static_cast<KernelType>(r->U32());
-  c.loss = static_cast<LossType>(r->U32());
-  c.lambda = r->F64();
-  c.seed = r->U64();
-  c.adaptive.mini_batch = static_cast<std::size_t>(r->U64());
-  c.adaptive.alpha = r->F64();
-  c.adaptive.lr_min = r->F64();
-  c.adaptive.lr_max = r->F64();
-  c.adaptive.lr_increase = r->F64();
-  c.adaptive.lr_decrease = r->F64();
-  c.adaptive.lr_initial = r->F64();
-  c.adaptive.log_updates = r->Bool();
-  c.karma.k_max = r->F64();
-  c.karma.threshold = r->F64();
-  c.karma.loss = static_cast<LossType>(r->U32());
-  c.karma.lambda = r->F64();
-  c.karma.empty_region_shortcut = r->Bool();
-  c.batch.loss = static_cast<LossType>(r->U32());
-  c.batch.lambda = r->F64();
-  c.batch.log_space = r->Bool();
-  c.batch.min_factor = r->F64();
-  c.batch.max_factor = r->F64();
-  c.batch.local.max_iterations = static_cast<std::size_t>(r->U64());
-  c.batch.local.history = static_cast<std::size_t>(r->U64());
-  c.batch.local.gradient_tolerance = r->F64();
-  c.batch.local.f_tolerance = r->F64();
-  c.batch.local.max_line_search_steps = static_cast<std::size_t>(r->U64());
-  c.batch.global.num_samples = static_cast<std::size_t>(r->U64());
-  c.batch.global.num_rounds = static_cast<std::size_t>(r->U64());
-  c.batch.global.starts_per_round = static_cast<std::size_t>(r->U64());
-  c.batch.global.link_radius_fraction = r->F64();
-  c.scv.min_factor = r->F64();
-  c.scv.max_factor = r->F64();
-  c.scv.max_iterations = static_cast<std::size_t>(r->U64());
-  c.scv.restarts = static_cast<std::size_t>(r->U64());
-  c.scv.max_rows = static_cast<std::size_t>(r->U64());
-  c.scv.seed = r->U64();
-  c.enable_karma = r->Bool();
-  c.enable_reservoir = r->Bool();
-  c.feedback_window = static_cast<std::size_t>(r->U64());
-  c.reoptimize_every = static_cast<std::size_t>(r->U64());
-  return c;
-}
+/// One periodic-ring entry as stored: the bounds before Box validates them.
+struct RingEntry {
+  std::vector<double> lower;
+  std::vector<double> upper;
+  double selectivity = 0.0;
+};
 
-void WriteBox(Writer* w, const Box& box) {
-  w->Doubles(box.lower_bounds());
-  w->Doubles(box.upper_bounds());
-}
+/// The smallest stored RingEntry: two empty bound arrays and a double.
+constexpr std::size_t kRingEntryMinBytes = 3 * sizeof(std::uint64_t);
 
-Box ReadBox(Reader* r) {
-  std::vector<double> lower = r->Doubles();
-  std::vector<double> upper = r->Doubles();
-  if (!r->ok() || lower.size() != upper.size()) return Box();
-  for (std::size_t i = 0; i < lower.size(); ++i) {
-    if (!(lower[i] <= upper[i])) return Box();
+/// Everything after the header, in blob order. Snapshot fills it from the
+/// model; Restore validates it and installs it.
+struct ModelBody {
+  KdeConfig config;
+  RngState rng;
+  std::vector<double> rows;  ///< rows*dims, global-slot order.
+  /// One array per header shard; the list itself has no count.
+  std::vector<std::vector<std::uint32_t>> shard_slots;
+  std::vector<double> shard_rates;
+  std::size_t observed_passes = 0;
+  std::vector<double> bandwidth;
+  bool has_scales = false;
+  std::vector<double> scales;
+  bool has_adaptive = false;
+  AdaptiveBandwidthState adaptive;
+  bool has_karma = false;
+  std::vector<double> karma;
+  std::vector<std::size_t> pending_karma_slots;
+  bool has_reservoir = false;
+  std::size_t accepted = 0;
+  std::size_t observed = 0;
+  std::vector<RingEntry> ring;
+  std::size_t ring_next = 0;
+  std::size_t since_optimize = 0;
+  std::size_t reoptimizations = 0;
+  std::size_t karma_replacements = 0;
+  BatchReport report;
+};
+
+template <class Ar>
+void BodyFields(Ar& ar, ModelBody& b) {
+  ConfigFields(ar, b.config);
+  for (std::uint64_t& s : b.rng.state) ar.U64(s);
+  ar.Bool(b.rng.has_spare);
+  ar.F64(b.rng.spare);
+
+  // Sample payload in global-slot order. The device stores floats; the
+  // widening to double on save and the narrowing on restore are exact.
+  ar.Doubles(b.rows);
+  // Per-shard placement, so a rebalanced layout restores verbatim.
+  for (std::vector<std::uint32_t>& slots : b.shard_slots) ar.U32s(slots);
+  ar.Doubles(b.shard_rates);
+  ar.U64(b.observed_passes);
+
+  ar.Doubles(b.bandwidth);
+  ar.Bool(b.has_scales);
+  if (b.has_scales) ar.Doubles(b.scales);
+
+  ar.Bool(b.has_adaptive);
+  if (b.has_adaptive) {
+    AdaptiveBandwidthState& st = b.adaptive;
+    ar.Doubles(st.grad_accum);
+    ar.U64(st.batch_count);
+    ar.Doubles(st.magnitude_avg);
+    ar.Doubles(st.rates);
+    ar.Doubles(st.prev_grad);
+    ar.Bool(st.has_prev_grad);
+    ar.U64(st.updates_applied);
   }
-  return Box(std::move(lower), std::move(upper));
+
+  ar.Bool(b.has_karma);
+  if (b.has_karma) ar.Doubles(b.karma);
+  ar.Sizes(b.pending_karma_slots);
+
+  ar.Bool(b.has_reservoir);
+  if (b.has_reservoir) {
+    ar.U64(b.accepted);
+    ar.U64(b.observed);
+  }
+
+  ar.Count(b.ring, kRingEntryMinBytes);
+  for (RingEntry& e : b.ring) {
+    ar.Doubles(e.lower);
+    ar.Doubles(e.upper);
+    ar.F64(e.selectivity);
+  }
+  ar.U64(b.ring_next);
+  ar.U64(b.since_optimize);
+  ar.U64(b.reoptimizations);
+  ar.U64(b.karma_replacements);
+
+  ar.F64(b.report.initial_error);
+  ar.F64(b.report.final_error);
+  ar.U64(b.report.evaluations);
+  ar.Bool(b.report.converged);
+}
+
+/// Reads and validates the header at the front of `r`.
+Result<ModelSnapshotHeader> ParseHeader(Reader* r) {
+  std::uint32_t magic = 0;
+  ModelSnapshotHeader header;
+  HeaderFields(*r, magic, header);
+  if (!r->ok()) {
+    return Status::InvalidArgument("snapshot header truncated");
+  }
+  if (magic != kModelSnapshotMagic) {
+    return Status::InvalidArgument("not a model snapshot (bad magic)");
+  }
+  if (header.version < kModelSnapshotMinVersion ||
+      header.version > kModelSnapshotVersion) {
+    return Status::InvalidArgument(
+        "unsupported snapshot version " + std::to_string(header.version) +
+        " (expected " + std::to_string(kModelSnapshotMinVersion) + " to " +
+        std::to_string(kModelSnapshotVersion) + ")");
+  }
+  if (static_cast<std::uint32_t>(header.mode) >
+      static_cast<std::uint32_t>(KdeSelectivityEstimator::Mode::kAdaptive)) {
+    return Status::InvalidArgument("snapshot mode out of range");
+  }
+  if (header.dims == 0 || header.shards == 0) {
+    return Status::InvalidArgument("snapshot header fields out of range");
+  }
+  return header;
 }
 
 }  // namespace
@@ -231,77 +464,52 @@ class ModelSnapshotAccess {
 
     DeviceSample* sample = m->sample_.get();
     KdeEngine* engine = m->engine_.get();
-    const std::size_t rows = sample->size();
-    const std::size_t dims = sample->dims();
+    std::uint32_t magic = kModelSnapshotMagic;
+    ModelSnapshotHeader header;
+    header.version = kModelSnapshotVersion;
+    header.mode = m->mode_;
+    header.dims = static_cast<std::uint32_t>(sample->dims());
+    header.capacity = sample->capacity();
+    header.rows = sample->size();
+    header.shards = static_cast<std::uint32_t>(sample->num_shards());
 
-    Writer w;
-    w.U32(kModelSnapshotMagic);
-    w.U32(kModelSnapshotVersion);
-    w.U32(static_cast<std::uint32_t>(m->mode_));
-    w.U32(static_cast<std::uint32_t>(dims));
-    w.U64(sample->capacity());
-    w.U64(rows);
-    w.U32(static_cast<std::uint32_t>(sample->num_shards()));
-    WriteConfig(&w, m->config_);
-
-    const RngState rng = m->rng_.SaveState();
-    for (std::uint64_t s : rng.state) w.U64(s);
-    w.Bool(rng.has_spare);
-    w.F64(rng.spare);
-
-    // Sample payload in global-slot order. The device stores floats; the
-    // widening to double here and the narrowing on restore are exact.
-    w.Doubles(sample->GatherRows());
-    // Per-shard placement, so a rebalanced layout restores verbatim.
-    const auto shard_slots = sample->ShardSlots();
-    for (const auto& slots : shard_slots) {
-      w.U64(slots.size());
-      for (std::uint32_t id : slots) w.U32(id);
+    ModelBody b;
+    b.config = m->config_;
+    b.rng = m->rng_.SaveState();
+    b.rows = sample->GatherRows();
+    b.shard_slots = sample->ShardSlots();
+    b.shard_rates = sample->shard_rates();
+    b.observed_passes = sample->observed_passes();
+    b.bandwidth = engine->bandwidth();
+    b.has_scales = engine->has_point_scales();
+    if (b.has_scales) b.scales = engine->point_scales_host();
+    b.has_adaptive = m->adaptive_.has_value();
+    if (b.has_adaptive) b.adaptive = m->adaptive_->SaveState();
+    b.has_karma = m->karma_.has_value();
+    if (b.has_karma) b.karma = m->karma_->ReadKarma();
+    b.pending_karma_slots = m->pending_karma_slots_;
+    b.has_reservoir = m->reservoir_.has_value();
+    if (b.has_reservoir) {
+      b.accepted = m->reservoir_->accepted();
+      b.observed = m->reservoir_->observed();
     }
-    w.Doubles(sample->shard_rates());
-    w.U64(sample->observed_passes());
-
-    w.Doubles(engine->bandwidth());
-    w.Bool(engine->has_point_scales());
-    if (engine->has_point_scales()) w.Doubles(engine->point_scales_host());
-
-    w.Bool(m->adaptive_.has_value());
-    if (m->adaptive_.has_value()) {
-      const AdaptiveBandwidthState st = m->adaptive_->SaveState();
-      w.Doubles(st.grad_accum);
-      w.U64(st.batch_count);
-      w.Doubles(st.magnitude_avg);
-      w.Doubles(st.rates);
-      w.Doubles(st.prev_grad);
-      w.Bool(st.has_prev_grad);
-      w.U64(st.updates_applied);
-    }
-
-    w.Bool(m->karma_.has_value());
-    if (m->karma_.has_value()) w.Doubles(m->karma_->ReadKarma());
-    w.Sizes(m->pending_karma_slots_);
-
-    w.Bool(m->reservoir_.has_value());
-    if (m->reservoir_.has_value()) {
-      w.U64(m->reservoir_->accepted());
-      w.U64(m->reservoir_->observed());
-    }
-
-    w.U64(m->feedback_ring_.size());
+    b.ring.reserve(m->feedback_ring_.size());
     for (const Query& q : m->feedback_ring_) {
-      WriteBox(&w, q.box);
-      w.F64(q.selectivity);
+      b.ring.push_back(
+          {q.box.lower_bounds(), q.box.upper_bounds(), q.selectivity});
     }
-    w.U64(m->ring_next_);
-    w.U64(m->feedback_since_optimize_);
-    w.U64(m->reoptimizations_);
-    w.U64(m->karma_replacements_);
+    b.ring_next = m->ring_next_;
+    b.since_optimize = m->feedback_since_optimize_;
+    b.reoptimizations = m->reoptimizations_;
+    b.karma_replacements = m->karma_replacements_;
+    b.report = m->batch_report_;
 
-    w.F64(m->batch_report_.initial_error);
-    w.F64(m->batch_report_.final_error);
-    w.U64(m->batch_report_.evaluations);
-    w.Bool(m->batch_report_.converged);
-
+    SizeCounter size;
+    HeaderFields(size, magic, header);
+    BodyFields(size, b);
+    Writer w(size.bytes());
+    HeaderFields(w, magic, header);
+    BodyFields(w, b);
     return w.Finish();
   }
 
@@ -315,29 +523,16 @@ class ModelSnapshotAccess {
       return Status::InvalidArgument(
           "restore requires exactly one of device or group");
     }
-    if (bytes.size() < 8) {
+    if (bytes.size() < sizeof(std::uint64_t)) {
       return Status::InvalidArgument("snapshot blob truncated");
     }
     // Verify integrity before trusting any field.
-    const std::size_t body = bytes.size() - 8;
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i) {
-      stored |= std::uint64_t(bytes[body + i]) << (8 * i);
-    }
-    if (Fnv1a64(bytes.data(), body) != stored) {
+    if (!TrailerMatches(bytes)) {
       return Status::InvalidArgument("snapshot checksum mismatch");
     }
 
-    FKDE_ASSIGN_OR_RETURN(const ModelSnapshotHeader header,
-                          ReadModelSnapshotHeader(bytes));
-    Reader r(bytes.subspan(0, body));
-    r.U32();  // magic (validated above)
-    r.U32();  // version
-    r.U32();  // mode
-    r.U32();  // dims
-    r.U64();  // capacity
-    r.U64();  // rows
-    r.U32();  // shards
+    Reader r(bytes.first(bytes.size() - sizeof(std::uint64_t)));
+    FKDE_ASSIGN_OR_RETURN(const ModelSnapshotHeader header, ParseHeader(&r));
     if (table->num_cols() != header.dims) {
       return Status::InvalidArgument("table dims do not match the snapshot");
     }
@@ -349,89 +544,49 @@ class ModelSnapshotAccess {
     if (header.rows == 0 || header.rows > header.capacity) {
       return Status::InvalidArgument("snapshot row counts are inconsistent");
     }
-
-    const KdeConfig config = ReadConfig(&r);
-
-    RngState rng;
-    for (std::uint64_t& s : rng.state) s = r.U64();
-    rng.has_spare = r.Bool();
-    rng.spare = r.F64();
-
-    const std::vector<double> rows_data = r.Doubles();
-    if (rows_data.size() != header.rows * header.dims) {
-      return Status::InvalidArgument("snapshot sample payload truncated");
-    }
-    std::vector<std::vector<std::uint32_t>> shard_slots(header.shards);
-    for (auto& slots : shard_slots) {
-      const std::uint64_t count = r.U64();
-      if (!r.ok() || count > header.rows) {
-        return Status::InvalidArgument("snapshot shard layout truncated");
-      }
-      slots.resize(count);
-      for (auto& id : slots) id = r.U32();
-    }
-    const std::vector<double> rates = r.Doubles();
-    const std::size_t observed_passes = static_cast<std::size_t>(r.U64());
-
-    const std::vector<double> bandwidth = r.Doubles();
-    const bool has_scales = r.Bool();
-    const std::vector<double> scales = has_scales ? r.Doubles()
-                                                  : std::vector<double>();
-
-    const bool has_adaptive = r.Bool();
-    AdaptiveBandwidthState adaptive_state;
-    if (has_adaptive) {
-      adaptive_state.grad_accum = r.Doubles();
-      adaptive_state.batch_count = static_cast<std::size_t>(r.U64());
-      adaptive_state.magnitude_avg = r.Doubles();
-      adaptive_state.rates = r.Doubles();
-      adaptive_state.prev_grad = r.Doubles();
-      adaptive_state.has_prev_grad = r.Bool();
-      adaptive_state.updates_applied = static_cast<std::size_t>(r.U64());
+    // A sample never holds more rows than its base table (Create sizes it
+    // to min(sample_size, rows)); this also bounds the device allocation.
+    if (header.capacity > table->num_rows()) {
+      return Status::InvalidArgument(
+          "snapshot sample capacity exceeds the table");
     }
 
-    const bool has_karma = r.Bool();
-    const std::vector<double> karma_scores =
-        has_karma ? r.Doubles() : std::vector<double>();
-    const std::vector<std::size_t> pending_karma = r.Sizes();
-
-    const bool has_reservoir = r.Bool();
-    std::uint64_t accepted = 0, observed = 0;
-    if (has_reservoir) {
-      accepted = r.U64();
-      observed = r.U64();
-    }
-
-    const std::uint64_t ring_count = r.U64();
-    if (!r.ok() || ring_count > (body - r.pos()) / 8) {
-      return Status::InvalidArgument("snapshot feedback ring truncated");
-    }
-    std::vector<Query> ring(static_cast<std::size_t>(ring_count));
-    for (Query& q : ring) {
-      q.box = ReadBox(&r);
-      q.selectivity = r.F64();
-      if (r.ok() && q.box.dims() != header.dims) {
-        return Status::InvalidArgument("snapshot ring box dims mismatch");
-      }
-    }
-    const std::size_t ring_next = static_cast<std::size_t>(r.U64());
-    const std::size_t since_optimize = static_cast<std::size_t>(r.U64());
-    const std::size_t reoptimizations = static_cast<std::size_t>(r.U64());
-    const std::size_t karma_replacements = static_cast<std::size_t>(r.U64());
-
-    BatchReport report;
-    report.initial_error = r.F64();
-    report.final_error = r.F64();
-    report.evaluations = static_cast<std::size_t>(r.U64());
-    report.converged = r.Bool();
-
+    ModelBody b;
+    b.shard_slots.resize(header.shards);
+    BodyFields(r, b);
     if (!r.ok()) {
       return Status::InvalidArgument("snapshot blob truncated");
+    }
+    if (!r.at_end()) {
+      return Status::InvalidArgument("snapshot blob has trailing bytes");
+    }
+    if (b.rows.size() != header.rows * header.dims) {
+      return Status::InvalidArgument("snapshot sample payload truncated");
+    }
+    for (const std::vector<std::uint32_t>& slots : b.shard_slots) {
+      if (slots.size() > header.rows) {
+        return Status::InvalidArgument("snapshot shard layout truncated");
+      }
+    }
+    std::vector<Query> ring(b.ring.size());
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      RingEntry& e = b.ring[i];
+      if (e.lower.size() != header.dims || e.upper.size() != header.dims) {
+        return Status::InvalidArgument("snapshot ring box dims mismatch");
+      }
+      for (std::size_t j = 0; j < header.dims; ++j) {
+        if (!(e.lower[j] <= e.upper[j])) {
+          return Status::InvalidArgument("snapshot ring box bounds inverted");
+        }
+      }
+      ring[i].box = Box(std::move(e.lower), std::move(e.upper));
+      ring[i].selectivity = e.selectivity;
     }
 
     // Rebuild. The Create path's mode-specific construction (SCV/batch
     // optimization, Scott tuning) must NOT re-run: the saved state IS the
     // post-construction, post-adaptation model.
+    const KdeConfig& config = b.config;
     std::unique_ptr<KdeSelectivityEstimator> est(
         new KdeSelectivityEstimator(header.mode, table, config));
     est->sample_ = group != nullptr
@@ -442,42 +597,42 @@ class ModelSnapshotAccess {
                              device, static_cast<std::size_t>(header.capacity),
                              header.dims);
     FKDE_RETURN_NOT_OK(est->sample_->LoadShardLayout(
-        rows_data, static_cast<std::size_t>(header.rows), shard_slots));
+        b.rows, static_cast<std::size_t>(header.rows), b.shard_slots));
     // The engine constructor runs a Scott pass (feeding the rebalancer's
     // EWMA on multi-shard samples), so the saved rates install after it.
     est->engine_ =
         std::make_unique<KdeEngine>(est->sample_.get(), config.kernel);
-    FKDE_RETURN_NOT_OK(est->sample_->RestoreRates(rates, observed_passes));
-    FKDE_RETURN_NOT_OK(est->engine_->SetBandwidth(bandwidth));
-    if (has_scales) {
-      FKDE_RETURN_NOT_OK(est->engine_->SetPointScales(scales));
+    FKDE_RETURN_NOT_OK(
+        est->sample_->RestoreRates(b.shard_rates, b.observed_passes));
+    FKDE_RETURN_NOT_OK(est->engine_->SetBandwidth(b.bandwidth));
+    if (b.has_scales) {
+      FKDE_RETURN_NOT_OK(est->engine_->SetPointScales(b.scales));
     }
-    est->rng_.RestoreState(rng);
-    if (has_adaptive) {
+    est->rng_.RestoreState(b.rng);
+    if (b.has_adaptive) {
       est->adaptive_.emplace(header.dims, config.adaptive);
-      FKDE_RETURN_NOT_OK(est->adaptive_->RestoreState(adaptive_state));
+      FKDE_RETURN_NOT_OK(est->adaptive_->RestoreState(b.adaptive));
     }
-    if (has_karma) {
+    if (b.has_karma) {
       est->karma_.emplace(est->engine_.get(), config.karma);
-      FKDE_RETURN_NOT_OK(est->karma_->RestoreKarma(karma_scores));
+      FKDE_RETURN_NOT_OK(est->karma_->RestoreKarma(b.karma));
     }
-    for (std::size_t slot : pending_karma) {
+    for (std::size_t slot : b.pending_karma_slots) {
       if (slot >= est->sample_->size()) {
         return Status::InvalidArgument("snapshot pending slot out of range");
       }
     }
-    est->pending_karma_slots_ = pending_karma;
-    if (has_reservoir) {
+    est->pending_karma_slots_ = std::move(b.pending_karma_slots);
+    if (b.has_reservoir) {
       est->reservoir_.emplace(est->sample_.get(), &est->rng_);
-      est->reservoir_->RestoreCounters(static_cast<std::size_t>(accepted),
-                                       static_cast<std::size_t>(observed));
+      est->reservoir_->RestoreCounters(b.accepted, b.observed);
     }
     est->feedback_ring_ = std::move(ring);
-    est->ring_next_ = ring_next;
-    est->feedback_since_optimize_ = since_optimize;
-    est->reoptimizations_ = reoptimizations;
-    est->karma_replacements_ = karma_replacements;
-    est->batch_report_ = report;
+    est->ring_next_ = b.ring_next;
+    est->feedback_since_optimize_ = b.since_optimize;
+    est->reoptimizations_ = b.reoptimizations;
+    est->karma_replacements_ = b.karma_replacements;
+    est->batch_report_ = b.report;
     return est;
   }
 };
@@ -485,34 +640,7 @@ class ModelSnapshotAccess {
 Result<ModelSnapshotHeader> ReadModelSnapshotHeader(
     std::span<const std::uint8_t> bytes) {
   Reader r(bytes);
-  const std::uint32_t magic = r.U32();
-  ModelSnapshotHeader header;
-  header.version = r.U32();
-  const std::uint32_t mode = r.U32();
-  header.dims = r.U32();
-  header.capacity = r.U64();
-  header.rows = r.U64();
-  header.shards = r.U32();
-  if (!r.ok()) {
-    return Status::InvalidArgument("snapshot header truncated");
-  }
-  if (magic != kModelSnapshotMagic) {
-    return Status::InvalidArgument("not a model snapshot (bad magic)");
-  }
-  if (header.version != kModelSnapshotVersion) {
-    return Status::InvalidArgument(
-        "unsupported snapshot version " + std::to_string(header.version) +
-        " (expected " + std::to_string(kModelSnapshotVersion) + ")");
-  }
-  if (mode > static_cast<std::uint32_t>(
-                 KdeSelectivityEstimator::Mode::kAdaptive)) {
-    return Status::InvalidArgument("snapshot mode out of range");
-  }
-  header.mode = static_cast<KdeSelectivityEstimator::Mode>(mode);
-  if (header.dims == 0 || header.shards == 0) {
-    return Status::InvalidArgument("snapshot header fields out of range");
-  }
-  return header;
+  return ParseHeader(&r);
 }
 
 Result<std::vector<std::uint8_t>> SnapshotModel(

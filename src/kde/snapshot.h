@@ -35,10 +35,19 @@
 ///   sample rows (rows*dims f64, global-slot order) | shard layout |
 ///   shard rate EWMAs | bandwidth | scales? | adaptive state? |
 ///   karma scores? | pending replacement slots | reservoir counters? |
-///   periodic ring | counters | batch report | fnv1a-64 checksum u64
+///   periodic ring | counters | batch report | checksum u64
 ///
-/// `kModelSnapshotVersion` pins the layout; readers reject unknown
-/// versions and corrupt blobs (checksum mismatch) rather than guess.
+/// Arrays are a u64 element count followed by the elements. One field
+/// list in snapshot.cc drives both the writer and the reader, and whole
+/// arrays move with one copy on little-endian hosts.
+///
+/// `kModelSnapshotVersion` (2) pins the layout. The v2 checksum is a
+/// word-wise hash: four lanes over little-endian 8-byte words, folded,
+/// then the byte tail and the length. v1 blobs have the same fields
+/// under a byte-serial FNV-1a-64 checksum; readers verify a blob with its
+/// own version's checksum, so v1 blobs still restore. Readers reject
+/// other versions, corrupt blobs (checksum mismatch) and counts the blob
+/// cannot hold, rather than guess.
 
 #ifndef FKDE_KDE_SNAPSHOT_H_
 #define FKDE_KDE_SNAPSHOT_H_
@@ -60,7 +69,11 @@ namespace fkde {
 inline constexpr std::uint32_t kModelSnapshotMagic = 0x4D444B46U;
 
 /// Current layout version; bumped on any incompatible format change.
-inline constexpr std::uint32_t kModelSnapshotVersion = 1;
+inline constexpr std::uint32_t kModelSnapshotVersion = 2;
+
+/// Oldest version readers accept: v1, the v2 fields under a byte-serial
+/// FNV-1a-64 checksum.
+inline constexpr std::uint32_t kModelSnapshotMinVersion = 1;
 
 /// \brief Parsed fixed-size snapshot prefix (catalog admission checks and
 /// diagnostics — cheap to read without touching the payload).

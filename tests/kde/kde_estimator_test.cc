@@ -1,7 +1,9 @@
 #include "kde/kde_estimator.h"
 
+#include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -383,6 +385,47 @@ TEST(KdeEstimator, EpanechnikovKernelEndToEnd) {
   const RunStats stats = FeedbackDriver::RunPrecomputed(estimator.get(),
                                                         f.test);
   EXPECT_LT(stats.MeanAbsoluteError(), 0.5);
+}
+
+// Half-open query boxes (one bound at -inf or +inf) are valid input. The
+// density term of an infinite bound is zero, so the gradient stays finite
+// and RMSprop never steps the bandwidth to NaN.
+TEST(KdeEstimator, AdaptiveStaysFiniteOnHalfOpenBoxes) {
+  const double inf = std::numeric_limits<double>::infinity();
+  // OpenClCpu runs the double body, SimdCpu the float lanes.
+  for (const DeviceProfile& profile :
+       {DeviceProfile::OpenClCpu(), DeviceProfile::SimdCpu()}) {
+    for (const KernelType kernel :
+         {KernelType::kGaussian, KernelType::kEpanechnikov}) {
+      SCOPED_TRACE(::testing::Message()
+                   << profile.name << " " << KernelName(kernel));
+      EstimatorFixture f(17);
+      f.device = std::make_unique<Device>(profile);
+      KdeConfig config;
+      config.kernel = kernel;
+      auto adaptive = f.Build(Mode::kAdaptive, config);
+      for (std::size_t q = 0; q < 200; ++q) {
+        const Box& base = f.test[q % f.test.size()].box;
+        std::vector<double> lower = base.lower_bounds();
+        std::vector<double> upper = base.upper_bounds();
+        const std::size_t dim = q % lower.size();
+        if (q % 2 == 0) {
+          lower[dim] = -inf;
+        } else {
+          upper[dim] = inf;
+        }
+        const Box box(std::move(lower), std::move(upper));
+        const double estimate = adaptive->EstimateSelectivity(box);
+        ASSERT_TRUE(std::isfinite(estimate)) << "query " << q;
+        const double truth = static_cast<double>(f.table->CountInBox(box)) /
+                             static_cast<double>(f.table->num_rows());
+        adaptive->ObserveTrueSelectivity(box, truth);
+        for (double h : adaptive->bandwidth()) {
+          ASSERT_TRUE(std::isfinite(h) && h > 0.0) << "query " << q;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

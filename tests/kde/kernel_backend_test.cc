@@ -196,6 +196,20 @@ TEST(KbEdgeCases, InfiniteBoundsMatchScalarBitwise) {
            {-inf, inf}, {-inf, 0.5}, {0.5, inf}, {-inf, -inf}, {inf, inf}}) {
     SCOPED_TRACE(::testing::Message() << "[" << qb[0] << ", " << qb[1] << "]");
     ExpectBodiesAgree(KernelType::kEpanechnikov, in, qb);
+    // An infinite bound's density term is zero, not inf * 0: both
+    // kernels' estimates and partials stay finite on both bodies.
+    for (const KernelType kernel :
+         {KernelType::kEpanechnikov, KernelType::kGaussian}) {
+      for (const KernelBackend backend :
+           {KernelBackend::kScalar, KernelBackend::kSimd}) {
+        const KbPass pass = RunKb(backend, kernel, in, qb);
+        for (std::size_t i = 0; i < in.s; ++i) {
+          EXPECT_TRUE(std::isfinite(pass.contrib[i])) << i;
+          EXPECT_TRUE(std::isfinite(pass.grad_contrib[i])) << i;
+          EXPECT_TRUE(std::isfinite(pass.partials[i])) << i;
+        }
+      }
+    }
   }
 }
 

@@ -5,7 +5,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,12 +64,12 @@ TEST(SnapshotFormat, GoldenHeaderBytes) {
   const std::vector<std::uint8_t> blob =
       SnapshotModel(model.get()).MoveValueOrDie();
 
-  // magic "FKDM" little-endian, then version 1, then mode kAdaptive (4),
+  // magic "FKDM" little-endian, then version 2, then mode kAdaptive (4),
   // then dims 3.
   ASSERT_GE(blob.size(), 16u);
   const std::uint8_t golden_prefix[16] = {
       0x46, 0x4B, 0x44, 0x4D,  // magic
-      0x01, 0x00, 0x00, 0x00,  // version
+      0x02, 0x00, 0x00, 0x00,  // version
       0x04, 0x00, 0x00, 0x00,  // mode
       0x03, 0x00, 0x00, 0x00,  // dims
   };
@@ -278,6 +281,239 @@ TEST(SnapshotRoundTrip, GroupShardLayoutReproducedVerbatim) {
     original->ObserveTrueSelectivity(q.box, q.selectivity);
     restored->ObserveTrueSelectivity(q.box, q.selectivity);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Codec v2: v1 read compatibility, corruption, and hostile counts.
+
+constexpr std::size_t kTrailerBytes = 8;
+
+// The v1 trailer, computed independently of the codec.
+std::uint64_t Fnv1a64(const std::uint8_t* data, std::size_t n) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= data[i];
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+std::uint64_t U64At(const std::vector<std::uint8_t>& blob, std::size_t pos) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= std::uint64_t(blob[pos + i]) << (8 * i);
+  return v;
+}
+
+void PutU64(std::vector<std::uint8_t>* blob, std::size_t pos,
+            std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) (*blob)[pos + i] = std::uint8_t(v >> (8 * i));
+}
+
+// Relabels `blob` as v1 and seals it with v1's FNV-1a-64 trailer. v2 kept
+// v1's field layout, so this is exactly the blob a v1 writer produced.
+void SealAsV1(std::vector<std::uint8_t>* blob) {
+  (*blob)[4] = 0x01;
+  const std::size_t body = blob->size() - kTrailerBytes;
+  PutU64(blob, body, Fnv1a64(blob->data(), body));
+}
+
+TEST(SnapshotCodec, V1BlobRestoresBitwiseOver1kQueries) {
+  const Table table = MakeTable();
+  Device device(DeviceProfile::SimulatedGtx460());
+  auto original = MakeAdaptive(&device, &table);
+  const std::vector<Query> warmup = MakeQueries(table, 60, 23);
+  for (const Query& q : warmup) {
+    (void)original->EstimateSelectivity(q.box);
+    original->ObserveTrueSelectivity(q.box, q.selectivity);
+  }
+  std::vector<std::uint8_t> v1 = SnapshotModel(original.get()).MoveValueOrDie();
+  SealAsV1(&v1);
+  EXPECT_EQ(ReadModelSnapshotHeader(v1).MoveValueOrDie().version, 1u);
+
+  std::vector<std::uint8_t> corrupt = v1;
+  corrupt[corrupt.size() / 2] ^= 0x01;
+  Device scratch(DeviceProfile::SimulatedGtx460());
+  auto rejected = RestoreModel(corrupt, &scratch, &table);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument());
+
+  Device target(DeviceProfile::SimulatedGtx460());
+  auto restored = RestoreModel(v1, &target, &table).MoveValueOrDie();
+  const std::vector<Query> stream = MakeQueries(table, 1000, 31);
+  for (const Query& q : stream) {
+    const double a = original->EstimateSelectivity(q.box);
+    const double b = restored->EstimateSelectivity(q.box);
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+        << "estimates diverged at " << q.box.ToString();
+    original->ObserveTrueSelectivity(q.box, q.selectivity);
+    restored->ObserveTrueSelectivity(q.box, q.selectivity);
+    ASSERT_EQ(restored->karma_replacements(),
+              original->karma_replacements());
+    ASSERT_EQ(restored->bandwidth(), original->bandwidth());
+  }
+  EXPECT_GT(original->karma_replacements(), 0u);
+}
+
+TEST(SnapshotCodec, EveryBitFlipAndEveryPrefixIsRejected) {
+  const Table table = MakeTable(200, 1, 13);
+  Device device(DeviceProfile::OpenClCpu());
+  KdeConfig config = SmallConfig();
+  config.sample_size = 4;
+  auto model = KdeSelectivityEstimator::Create(
+                   KdeSelectivityEstimator::Mode::kAdaptive, &device, &table,
+                   config)
+                   .MoveValueOrDie();
+  const std::vector<std::uint8_t> blob =
+      SnapshotModel(model.get()).MoveValueOrDie();
+  Device target(DeviceProfile::OpenClCpu());
+  ASSERT_TRUE(RestoreModel(blob, &target, &table).ok());
+
+  std::vector<std::uint8_t> flipped = blob;
+  for (std::size_t byte = 0; byte < blob.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      flipped[byte] ^= std::uint8_t(1u << bit);
+      auto restored = RestoreModel(flipped, &target, &table);
+      ASSERT_FALSE(restored.ok()) << "byte " << byte << " bit " << bit;
+      EXPECT_TRUE(restored.status().IsInvalidArgument());
+      flipped[byte] = blob[byte];
+    }
+  }
+  for (std::size_t n = 0; n < blob.size(); ++n) {
+    const std::span<const std::uint8_t> prefix(blob.data(), n);
+    auto restored = RestoreModel(prefix, &target, &table);
+    ASSERT_FALSE(restored.ok()) << "prefix of " << n << " bytes";
+    EXPECT_TRUE(restored.status().IsInvalidArgument());
+  }
+}
+
+// Walks the documented layout independently of the codec and records the
+// offset of every array's u64 count, named by field.
+class LayoutCursor {
+ public:
+  // magic, version, mode, dims (u32) | capacity, rows (u64) | shards (u32)
+  static constexpr std::size_t kHeaderBytes = 4 * 4 + 2 * 8 + 4;
+  // The fixed-width config block (ConfigFields in kde/snapshot.cc).
+  static constexpr std::size_t kConfigBytes = 285;
+  // xoshiro state (4 u64), has_spare (u8), spare (f64).
+  static constexpr std::size_t kRngBytes = 4 * 8 + 1 + 8;
+
+  explicit LayoutCursor(const std::vector<std::uint8_t>& blob)
+      : blob_(blob) {
+    const ModelSnapshotHeader header =
+        ReadModelSnapshotHeader(blob).MoveValueOrDie();
+    pos_ = kHeaderBytes + kConfigBytes + kRngBytes;
+    EXPECT_EQ(U64At(blob, pos_), header.rows * header.dims);
+    Array("sample", 8);
+    for (std::uint32_t shard = 0; shard < header.shards; ++shard) {
+      Array("shard slots", 4);
+    }
+    Array("shard rates", 8);
+    pos_ += 8;  // Rebalance pass counter.
+    Array("bandwidth", 8);
+    if (Flag()) Array("scales", 8);
+    if (Flag()) {
+      Array("rmsprop grad_accum", 8);
+      pos_ += 8;  // Batch count.
+      Array("rmsprop magnitude_avg", 8);
+      Array("rmsprop rates", 8);
+      Array("rmsprop prev_grad", 8);
+      pos_ += 1 + 8;  // has_prev_grad, updates_applied.
+    }
+    if (Flag()) Array("karma", 8);
+    Array("pending slots", 8);
+    if (Flag()) pos_ += 16;  // Reservoir counters.
+    offsets_.emplace("ring", pos_);
+    const std::uint64_t ring = U64At(blob, pos_);
+    pos_ += 8;
+    for (std::uint64_t e = 0; e < ring; ++e) {
+      Array("box lower", 8);
+      Array("box upper", 8);
+      pos_ += 8;  // Selectivity.
+    }
+    pos_ += 4 * 8 + 8 + 8 + 8 + 1;  // Counters, batch report.
+    EXPECT_EQ(pos_ + kTrailerBytes, blob.size());
+  }
+
+  // Field name -> offset of its first occurrence's count.
+  const std::map<std::string, std::size_t>& offsets() const {
+    return offsets_;
+  }
+
+ private:
+  void Array(const std::string& name, std::size_t width) {
+    offsets_.emplace(name, pos_);
+    pos_ += 8 + static_cast<std::size_t>(U64At(blob_, pos_)) * width;
+  }
+  bool Flag() { return blob_[pos_++] != 0; }
+
+  const std::vector<std::uint8_t>& blob_;
+  std::size_t pos_ = 0;
+  std::map<std::string, std::size_t> offsets_;
+};
+
+// A checksum-valid blob whose count claims more elements than the blob
+// holds must fail with a Status, never reach an allocation it cannot make.
+// n * 8 wraps to 0 for n = 2^61 and to -8 for 2^64 - 1.
+TEST(SnapshotCodec, OversizedCountsReturnInvalidArgument) {
+  const Table table = MakeTable();
+  Device device(DeviceProfile::OpenClCpu());
+
+  auto adaptive = MakeAdaptive(&device, &table);
+  for (const Query& q : MakeQueries(table, 30, 5)) {
+    (void)adaptive->EstimateSelectivity(q.box);
+    adaptive->ObserveTrueSelectivity(q.box, q.selectivity);
+  }
+  auto scaled = KdeSelectivityEstimator::Create(
+                    KdeSelectivityEstimator::Mode::kHeuristic, &device,
+                    &table, SmallConfig())
+                    .MoveValueOrDie();
+  ASSERT_TRUE(scaled->engine()
+                  ->SetPointScales(std::vector<double>(256, 1.5))
+                  .ok());
+  KdeConfig periodic_config = SmallConfig();
+  periodic_config.feedback_window = 8;
+  periodic_config.reoptimize_every = 1000;
+  auto periodic = KdeSelectivityEstimator::Create(
+                      KdeSelectivityEstimator::Mode::kPeriodic, &device,
+                      &table, periodic_config)
+                      .MoveValueOrDie();
+  for (const Query& q : MakeQueries(table, 4, 9)) {
+    (void)periodic->EstimateSelectivity(q.box);
+    periodic->ObserveTrueSelectivity(q.box, q.selectivity);
+  }
+
+  std::size_t crafted = 0;
+  std::map<std::string, int> seen;
+  for (KdeSelectivityEstimator* model :
+       {adaptive.get(), scaled.get(), periodic.get()}) {
+    const std::vector<std::uint8_t> blob =
+        SnapshotModel(model).MoveValueOrDie();
+    const LayoutCursor layout(blob);
+    for (const auto& [field, offset] : layout.offsets()) {
+      for (const std::uint64_t count :
+           {std::uint64_t{1} << 61, ~std::uint64_t{0}}) {
+        SCOPED_TRACE(::testing::Message() << field << " = " << count);
+        std::vector<std::uint8_t> hostile = blob;
+        PutU64(&hostile, offset, count);
+        SealAsV1(&hostile);
+        Device target(DeviceProfile::OpenClCpu());
+        auto restored = RestoreModel(hostile, &target, &table);
+        ASSERT_FALSE(restored.ok());
+        EXPECT_TRUE(restored.status().IsInvalidArgument())
+            << restored.status().ToString();
+        ++crafted;
+      }
+      ++seen[field];
+    }
+  }
+  for (const char* field :
+       {"sample", "shard slots", "shard rates", "bandwidth", "scales",
+        "rmsprop grad_accum", "rmsprop magnitude_avg", "rmsprop rates",
+        "rmsprop prev_grad", "karma", "pending slots", "ring", "box lower",
+        "box upper"}) {
+    EXPECT_GT(seen[field], 0) << field << " never crafted";
+  }
+  EXPECT_GT(crafted, 0u);
 }
 
 }  // namespace

@@ -26,12 +26,13 @@ namespace {
 
 struct Fleet {
   explicit Fleet(std::size_t models, std::size_t queries_per_model = 12,
-                 std::uint64_t seed = 3) {
+                 std::uint64_t seed = 3, std::size_t rows = 3000,
+                 std::size_t sample_size = 128) {
     tables.reserve(models);
     for (std::size_t m = 0; m < models; ++m) {
       const std::uint64_t model_seed = seed * 7919 + m;
       tables.push_back(
-          GenerateDataset("synthetic", 3000, 3, model_seed).MoveValueOrDie());
+          GenerateDataset("synthetic", rows, 3, model_seed).MoveValueOrDie());
       WorkloadGenerator generator(tables.back());
       Rng rng(model_seed + 17);
       workloads.push_back(
@@ -43,7 +44,7 @@ struct Fleet {
       key.columns = {"a", "b", "c"};
       keys.push_back(std::move(key));
       KdeConfig config;
-      config.sample_size = 128;
+      config.sample_size = sample_size;
       config.seed = model_seed + 29;
       configs.push_back(config);
     }
@@ -170,6 +171,50 @@ TEST(ModelCatalog, EvictionUnderBudgetRestoresBitwise) {
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.faults, 0u);
   EXPECT_LE(stats.resident_models, 3u);
+}
+
+// Both pins again at serving scale: 8 models of s = 1024 (the paper's
+// d * 4 kB float budget) over 20000-row tables, 40 queries each. Shared
+// serving matches isolated runs bit for bit, and a budget of 5/2 models
+// evicts and faults back without moving a bit.
+TEST(ModelCatalog, ServingScaleSharedIsolatedAndEvictedRunsMatchBitwise) {
+  Fleet fleet(8, 40, 1, 20000, 1024);
+  auto shared_group = BuildDeviceGroup("gpu").MoveValueOrDie();
+  ModelCatalog shared_catalog(shared_group.get());
+  fleet.RegisterAll(&shared_catalog);
+  const std::vector<std::vector<double>> shared =
+      fleet.Serve(&shared_catalog);
+
+  std::size_t model_bytes = 0;
+  for (std::size_t m = 0; m < 8; ++m) {
+    model_bytes = std::max(model_bytes, shared_catalog.StatsFor(fleet.keys[m])
+                                            .MoveValueOrDie()
+                                            .device_bytes);
+    auto solo_group = BuildDeviceGroup("gpu").MoveValueOrDie();
+    auto solo = KdeSelectivityEstimator::Create(
+                    KdeSelectivityEstimator::Mode::kAdaptive,
+                    solo_group.get(), &fleet.tables[m], fleet.configs[m])
+                    .MoveValueOrDie();
+    std::vector<double> isolated;
+    for (const Query& q : fleet.workloads[m]) {
+      isolated.push_back(solo->EstimateSelectivity(q.box));
+      solo->ObserveTrueSelectivity(q.box, q.selectivity);
+    }
+    EXPECT_TRUE(SameBits(shared[m], isolated)) << "model " << m;
+  }
+
+  auto tight_group = BuildDeviceGroup("gpu").MoveValueOrDie();
+  CatalogOptions options;
+  options.device_budget_bytes = model_bytes * 5 / 2;
+  ModelCatalog tight(tight_group.get(), options);
+  fleet.RegisterAll(&tight);
+  const std::vector<std::vector<double>> constrained = fleet.Serve(&tight);
+  for (std::size_t m = 0; m < 8; ++m) {
+    EXPECT_TRUE(SameBits(constrained[m], shared[m])) << "model " << m;
+  }
+  const CatalogStats stats = tight.Stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.faults, 0u);
 }
 
 TEST(ModelCatalog, LruOrderAndPinning) {
