@@ -40,6 +40,8 @@ bool Event::complete() const {
 
 void Event::Wait() const {
   if (!state_) return;
+  // Check before touching the queue: a complete event may outlive it.
+  if (!complete()) state_->queue->RunUntil(state_->queue_index);
   state_->WaitReal();
   state_->device->SyncHostTo(state_->modeled_end_s);
   if (HazardChecker* checker = state_->device->hazard_checker()) {
@@ -61,7 +63,9 @@ std::uint64_t NextQueueId() {
 }  // namespace
 
 CommandQueue::CommandQueue(Device* device)
-    : device_(device), id_(NextQueueId()) {
+    : device_(device),
+      id_(NextQueueId()),
+      idle_from_(std::chrono::steady_clock::now()) {
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
@@ -133,6 +137,7 @@ Event CommandQueue::Push(std::function<void()> run, double modeled_end_s,
   auto state = std::make_shared<internal::EventState>();
   state->modeled_end_s = modeled_end_s;
   state->device = device_;
+  state->queue = this;
   state->queue_id = id_;
   Command command;
   command.run = std::move(run);
@@ -148,6 +153,12 @@ Event CommandQueue::Push(std::function<void()> run, double modeled_end_s,
     // writes the happens-before clock into the (not yet shared) state.
     if (HazardChecker* checker = device_->hazard_checker()) {
       checker->RecordCommand(command.done, kind, name, accesses, wait_list);
+    }
+    if (pending_.empty() && !running_) {
+      // The queue starved from its last retirement until now.
+      dispatcher_wait_s_ += std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - idle_from_)
+                                .count();
     }
     pending_.push_back(std::move(command));
     depth_high_water_ = std::max(depth_high_water_, pending_.size());
@@ -176,37 +187,72 @@ CommandQueueStats CommandQueue::Stats() const {
   return stats;
 }
 
-void CommandQueue::DispatchLoop() {
-  for (;;) {
-    Command command;
+void CommandQueue::Execute(Command& command) noexcept {
+  // Cross-queue dependencies: wait for the real completion only — their
+  // modeled ends were already folded into this command's modeled start.
+  for (const Event& dep : command.deps) dep.state_->WaitReal();
+  if (command.run) command.run();
+  // Drop the closure before completion becomes observable: captured
+  // resources (scratch handles parking back into the pool) must be
+  // released by the time a host Wait()/Finish() returns. The body has
+  // returned, so the command no longer touches what it releases.
+  command.done->MarkExecuted();
+  command.run = nullptr;
+  command.done->MarkComplete();
+}
+
+CommandQueue::Command CommandQueue::TakeFrontLocked() {
+  running_ = true;
+  Command command = std::move(pending_.front());
+  pending_.pop_front();
+  return command;
+}
+
+void CommandQueue::ReleaseLocked() {
+  running_ = false;
+  if (pending_.empty()) idle_from_ = std::chrono::steady_clock::now();
+}
+
+void CommandQueue::RunUntil(std::uint64_t target_index) {
+  std::unique_lock<std::mutex> lock(mu_);
+  bool ran = false;
+  // In order, so the target is still pending iff the front's index has
+  // not passed it. mu_ is never held while a body runs.
+  while (!running_ && !pending_.empty() &&
+         pending_.front().done->queue_index <= target_index) {
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (!shutdown_ && pending_.empty()) {
-        // Starvation accounting: time the dispatcher sits with nothing to
-        // run. mu_ is released inside the wait, so host enqueues proceed.
-        const auto idle_from = std::chrono::steady_clock::now();
-        cv_.wait(lock, [this] { return shutdown_ || !pending_.empty(); });
-        dispatcher_wait_s_ +=
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          idle_from)
-                .count();
-      }
-      if (pending_.empty()) return;  // Shut down and fully drained.
-      command = std::move(pending_.front());
-      pending_.pop_front();
+      Command command = TakeFrontLocked();
+      lock.unlock();
+      Execute(command);
     }
-    // Cross-queue dependencies: wait for the real completion only — their
-    // modeled ends were already folded into this command's modeled start.
-    for (const Event& dep : command.deps) dep.state_->WaitReal();
-    if (command.run) command.run();
-    // Drop the closure before completion becomes observable: captured
-    // resources (scratch handles parking back into the pool) must be
-    // released by the time a host Wait()/Finish() returns, not when the
-    // dispatcher happens to reach the next iteration. The body has
-    // returned, so the command no longer touches what it releases.
-    command.done->MarkExecuted();
-    command.run = nullptr;
-    command.done->MarkComplete();
+    lock.lock();
+    ReleaseLocked();
+    ran = true;
+  }
+  // Later commands stay queued. A dispatcher woken for them while this
+  // thread held the queue went back to sleep, so wake it again.
+  const bool hand_back = ran && !pending_.empty();
+  lock.unlock();
+  if (hand_back) cv_.notify_one();
+}
+
+void CommandQueue::DispatchLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    // mu_ is released inside the wait, so host enqueues and waiters
+    // proceed; a waiting host may take the queue while this sleeps.
+    cv_.wait(lock, [this] {
+      return (!running_ && !pending_.empty()) ||
+             (shutdown_ && pending_.empty());
+    });
+    if (pending_.empty()) return;  // Shut down and fully drained.
+    {
+      Command command = TakeFrontLocked();
+      lock.unlock();
+      Execute(command);
+    }
+    lock.lock();
+    ReleaseLocked();
   }
 }
 

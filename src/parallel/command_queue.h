@@ -8,13 +8,18 @@
 /// reproduces that execution model:
 ///
 ///  * `CommandQueue` — an in-order queue of device commands. `Enqueue*`
-///    calls return immediately; a dedicated dispatcher thread pops
-///    commands and executes kernel bodies on the device's thread pool, so
-///    enqueued work really does run concurrently with host code.
-///  * `Event` — a handle to one enqueued command. `Wait()` blocks the
-///    host until the command completes. Commands accept an event
-///    wait-list, which orders them after commands from other queues
-///    (same-queue ordering is implicit: queues are in-order).
+///    calls return immediately; the queue's dispatcher thread, or the
+///    waiting host, pops commands and executes kernel bodies on the
+///    device's thread pool. Work nobody waits on yet really does run
+///    concurrently with host code on the dispatcher.
+///  * `Event` — a handle to one enqueued command. `Wait()` returns once
+///    the command completed. While the command is incomplete and no
+///    other thread is running a command of its queue, the waiting thread
+///    runs the queue's front commands itself, up to and including its
+///    own, so a blocking call never hands off to the dispatcher; only
+///    when another thread holds the queue does it block. Commands accept
+///    an event wait-list, which orders them after commands from other
+///    queues (same-queue ordering is implicit: queues are in-order).
 ///
 /// ## Modeled time: the two-timeline rule
 ///
@@ -50,7 +55,10 @@
 /// by an enqueued command alive until the command completes (`Wait()`,
 /// `Finish()`, or destruction of the queue, which drains it). Owners of
 /// device buffers that receive enqueued commands must `Finish()` the
-/// queue before the buffers are destroyed.
+/// queue before the buffers are destroyed. An event may outlive its
+/// queue once complete; a queue must not be destroyed while another
+/// thread is still inside `Wait()` on one of its events, since that
+/// thread may be running the queue's commands.
 ///
 /// ## Declared access-sets
 ///
@@ -75,6 +83,7 @@
 #ifndef FKDE_PARALLEL_COMMAND_QUEUE_H_
 #define FKDE_PARALLEL_COMMAND_QUEUE_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -128,33 +137,39 @@ enum class CommandKind : std::uint8_t { kKernel, kCopyToDevice, kCopyToHost };
 /// `CommandQueue::Stats`). `total_commands` and `depth_high_water` are
 /// bumped at enqueue time under the queue mutex, so they are
 /// deterministic; `dispatcher_wait_s` is real (wall-clock) time the
-/// dispatcher thread spent parked with an empty queue — the physical
-/// pipeline-starvation signal the streaming executor drives toward zero.
-/// `DeviceGroup::AggregateQueueStats` folds these per-device: counts and
-/// wait time sum, the high-water mark takes the max.
+/// queue sat starved, with nothing pending and nothing running — the
+/// physical pipeline-starvation signal the streaming executor drives
+/// toward zero. Time the dispatcher sits aside while a waiting host runs
+/// the queue's commands is not starvation and is not counted; only
+/// closed intervals count (an idle spell still open at `Stats()` is
+/// not). `DeviceGroup::AggregateQueueStats` folds these per-device:
+/// counts and wait time sum, the high-water mark takes the max.
 struct CommandQueueStats {
   std::uint64_t total_commands = 0;  ///< Commands ever enqueued.
   std::size_t depth_high_water = 0;  ///< Max pending-queue depth seen.
   std::size_t pending = 0;           ///< Enqueued, not yet dispatched.
-  double dispatcher_wait_s = 0.0;    ///< Wall time the dispatcher idled.
+  double dispatcher_wait_s = 0.0;    ///< Wall time the queue starved.
 };
 
 namespace internal {
 
 /// Shared completion state of one enqueued command. Everything except
 /// `executed` and `complete` is written once at enqueue time (before the
-/// state is shared with the dispatcher); those two are the only
+/// state is shared with other threads); those two are the only
 /// cross-thread fields.
 struct EventState {
   std::mutex mu;
   std::condition_variable cv;
   bool complete = false;
-  /// The body returned; set just before the dispatcher releases the
-  /// command's captured resources, so releases during that teardown do
-  /// not count the command as still touching them. Guarded by `mu`.
+  /// The body returned; set just before the executing thread releases
+  /// the command's captured resources, so releases during that teardown
+  /// do not count the command as still touching them. Guarded by `mu`.
   bool executed = false;
   double modeled_end_s = 0.0;  ///< Absolute device-timeline completion.
   Device* device = nullptr;
+  /// Owning queue, whose pending commands a waiter runs. Valid only
+  /// while the command is incomplete (see the lifetime discipline).
+  CommandQueue* queue = nullptr;
   std::uint64_t queue_id = 0;     ///< Owning queue (process-unique).
   std::uint64_t queue_index = 0;  ///< 1-based position within the queue.
   /// Vector clock over in-order queues: `{queue, index}` pairs, sorted by
@@ -166,8 +181,8 @@ struct EventState {
   void MarkExecuted();
   void MarkComplete();
   /// Blocks until the command really finished, without touching the
-  /// modeled clocks (used by the dispatcher for wait-list dependencies,
-  /// which are already accounted in the modeled start time).
+  /// modeled clocks (used for wait-list dependencies, which are already
+  /// accounted in the modeled start time).
   void WaitReal();
 };
 
@@ -187,9 +202,12 @@ class Event {
   /// True when the command has finished executing (non-blocking probe).
   bool complete() const;
 
-  /// Blocks until the command completes, then advances the host modeled
+  /// Returns once the command completed, then advances the host modeled
   /// clock to the command's modeled end; any gap between the host clock
-  /// and that end is charged as a host stall. No-op for a null event.
+  /// and that end is charged as a host stall. While the command is
+  /// incomplete and no other thread holds its queue, the calling thread
+  /// runs the queue's front commands itself, stopping after this one;
+  /// otherwise it blocks. No-op for a null event.
   void Wait() const;
 
   /// Modeled device-timeline completion time (absolute seconds since the
@@ -207,10 +225,12 @@ class Event {
 
 /// \brief In-order asynchronous command queue of one device.
 ///
-/// Commands execute in enqueue order; `Enqueue*` never blocks on device
-/// work (only on the modeled submission bookkeeping). One dispatcher
-/// thread per queue pops commands, resolves their wait-lists, and runs
-/// kernel bodies on the device's thread pool.
+/// Commands execute in enqueue order, one at a time; `Enqueue*` never
+/// blocks on device work (only on the modeled submission bookkeeping).
+/// Whoever holds the queue — its dispatcher thread, or a host thread
+/// waiting on one of its events — pops commands, resolves their
+/// wait-lists, and runs kernel bodies on the device's thread pool. Both
+/// run commands through the same `Execute`.
 class CommandQueue {
  public:
   explicit CommandQueue(Device* device);
@@ -289,19 +309,42 @@ class CommandQueue {
                               std::size_t pitch, T* host,
                               std::span<const Event> wait_list = {});
 
-  /// Blocks until every command enqueued so far has completed, and
-  /// advances the host modeled clock past the last of them.
+  /// Returns once every command enqueued so far has completed (running
+  /// them on the calling thread as `Event::Wait()` does), and advances
+  /// the host modeled clock past the last of them.
   void Finish();
 
   /// Snapshot of the queue's occupancy counters (see CommandQueueStats).
   CommandQueueStats Stats() const;
 
  private:
+  friend class Event;  // Wait() runs the queue through RunUntil.
+
   struct Command {
     std::function<void()> run;
     std::vector<Event> deps;
     std::shared_ptr<internal::EventState> done;
   };
+
+  /// Runs one popped command: waits for its wait-list, runs the body,
+  /// marks it executed, drops the closure, then marks it complete — so
+  /// captured resources (scratch handles) are released before any waiter
+  /// can observe completion. An exception out of a body ends the process,
+  /// on whichever thread ran it.
+  static void Execute(Command& command) noexcept;
+
+  /// Pops the front command and takes the queue (`running_`). Requires
+  /// `mu_` held, a non-empty queue and nobody else holding it.
+  Command TakeFrontLocked();
+  /// Gives the queue back after `Execute`; opens a starvation interval
+  /// when nothing is left pending. Requires `mu_` held.
+  void ReleaseLocked();
+
+  /// The waiting host's share of execution: while no other thread holds
+  /// the queue, runs front commands on the calling thread up to and
+  /// including the one at 1-based position `target_index`, then hands
+  /// whatever is still pending back to the dispatcher.
+  void RunUntil(std::uint64_t target_index);
 
   /// Largest modeled end among the wait-list events.
   static double MaxModeledEnd(std::span<const Event> wait_list);
@@ -327,13 +370,17 @@ class CommandQueue {
   Device* device_;
   const std::uint64_t id_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;  ///< Wakes the dispatcher.
   std::deque<Command> pending_;
+  /// A thread (dispatcher or waiting host) is executing a popped command.
+  bool running_ = false;  ///< Guarded by mu_.
   bool shutdown_ = false;
   Event last_;
   std::uint64_t next_index_ = 0;       ///< Guarded by mu_.
   std::size_t depth_high_water_ = 0;   ///< Guarded by mu_.
   double dispatcher_wait_s_ = 0.0;     ///< Guarded by mu_.
+  /// Start of the current starvation interval. Guarded by mu_.
+  std::chrono::steady_clock::time_point idle_from_;
   std::thread dispatcher_;
 };
 

@@ -366,7 +366,7 @@ namespace internal {
 
 /// Size-bucketed free-list behind `Device::AcquireScratch`. Held via
 /// shared_ptr by the device *and* by every ScratchBuffer deleter, so
-/// releases that happen on dispatcher threads during teardown still have
+/// releases that happen on executing threads during teardown still have
 /// a live pool to park into.
 struct ScratchPool {
   std::mutex mu;
@@ -411,7 +411,7 @@ class Device {
   CommandQueue* default_queue() { return default_queue_.get(); }
 
   /// Occupancy counters of the default queue (depth high-water mark,
-  /// total commands, dispatcher idle time) — the pipeline-fill signal the
+  /// total commands, starvation time) — the pipeline-fill signal the
   /// streaming executor and the traffic bench report per device.
   CommandQueueStats queue_stats() const { return default_queue_->Stats(); }
 

@@ -112,7 +112,9 @@ class DeviceGroup {
   /// Folds the member queues' occupancy counters: `total_commands` and
   /// `dispatcher_wait_s` sum, `depth_high_water` and `pending` take the
   /// max — one command deep everywhere means the pipeline never filled,
-  /// regardless of how many devices it failed to fill on.
+  /// regardless of how many devices it failed to fill on. The summed
+  /// wait is starvation only (a member queue with nothing pending and
+  /// nothing running), not time a waiting host ran that queue's commands.
   CommandQueueStats AggregateQueueStats() const;
 
   /// Frees every parked scratch buffer on every member device — the

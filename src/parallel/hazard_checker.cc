@@ -68,7 +68,7 @@ void BufferRegistry::AddObserver(std::weak_ptr<HazardChecker> observer) {
 namespace {
 
 /// True once the command's body returned: it touches no buffer any more,
-/// even while the dispatcher is still releasing its captures.
+/// even while the executing thread is still releasing its captures.
 bool StateExecuted(const std::shared_ptr<EventState>& state) {
   if (!state) return true;
   std::lock_guard<std::mutex> lock(state->mu);

@@ -1,6 +1,7 @@
 #include "runtime/catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/logging.h"
@@ -137,6 +138,11 @@ Result<double> ModelCatalog::Estimate(const ModelKey& key, const Box& box) {
 
 Status ModelCatalog::Feedback(const ModelKey& key, const Box& box,
                               double selectivity) {
+  // A non-finite truth would poison the adaptive bandwidth step; reject
+  // it before the model (or its residency) is touched.
+  if (!std::isfinite(selectivity)) {
+    return Status::InvalidArgument("feedback selectivity is not finite");
+  }
   FKDE_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(key));
   std::lock_guard<std::mutex> lock(entry->mu);
   FKDE_RETURN_NOT_OK(EnsureResidentLocked(entry.get()));
@@ -250,6 +256,9 @@ Status ModelCatalog::EnsureResidentLocked(Entry* entry) {
       FKDE_ASSIGN_OR_RETURN(
           entry->model,
           RestoreModel(entry->snapshot, group_, entry->spec.table));
+      // The live model is now the state of record (SaveSnapshot reads it,
+      // the next eviction rewrites the blob); release the blob's storage.
+      std::vector<std::uint8_t>().swap(entry->snapshot);
       entry->faults.fetch_add(1, std::memory_order_relaxed);
       faults_.fetch_add(1, std::memory_order_relaxed);
     } else {

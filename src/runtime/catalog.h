@@ -153,7 +153,9 @@ class ModelCatalog {
   /// first if needed).
   Result<double> Estimate(const ModelKey& key, const Box& box);
 
-  /// Applies query feedback through the model.
+  /// Applies query feedback through the model. InvalidArgument for a
+  /// non-finite `selectivity` (NaN, ±inf); the model, its stats and its
+  /// residency are then untouched.
   Status Feedback(const ModelKey& key, const Box& box, double selectivity);
 
   /// Ensures the model is resident and returns it (catalog retains
@@ -202,8 +204,8 @@ class ModelCatalog {
     /// Live estimator; null while cold (snapshot holds the state).
     /// Guarded by `mu`.
     std::unique_ptr<KdeSelectivityEstimator> model;
-    /// Last snapshot; state of record while the model is cold. Guarded
-    /// by `mu`.
+    /// Last snapshot; state of record while the model is cold, released
+    /// once a fault-in restored it. Guarded by `mu`.
     std::vector<std::uint8_t> snapshot;
     /// Counters read by Stats()/UsedBytes() without taking `mu`.
     std::atomic<std::uint64_t> queries_served{0};

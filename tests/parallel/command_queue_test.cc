@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -180,6 +181,118 @@ TEST(CommandQueue, StatsTrackDepthHighWaterAndDrain) {
   EXPECT_GE(drained.depth_high_water, backed_up.depth_high_water);
   // The dispatcher idled at least while the test thread set up the gate.
   EXPECT_GE(drained.dispatcher_wait_s, 0.0);
+}
+
+// A waiting host runs the queue's front commands itself, but stops at its
+// own event: B spins until the test thread has returned from A.Wait(), so
+// a waiter that ran on past A would never return.
+TEST(CommandQueue, WaitRunsOnlyUpToItsEvent) {
+  Device device(DeviceProfile::OpenClCpu());
+  CommandQueue* queue = device.default_queue();
+  for (int round = 0; round < 32; ++round) {
+    std::atomic<bool> a_returned{false};
+    bool a_ran = false;
+    const Event a = queue->EnqueueLaunch(
+        "a", 1, 1.0, [&](std::size_t, std::size_t) { a_ran = true; });
+    const Event b = queue->EnqueueLaunch(
+        "b", 1, 1.0, [&](std::size_t, std::size_t) {
+          while (!a_returned.load()) std::this_thread::yield();
+        });
+    a.Wait();
+    EXPECT_TRUE(a_ran);
+    a_returned.store(true);
+    b.Wait();
+  }
+}
+
+// Several client threads enqueue and wait on one shared queue, so each
+// runs other clients' commands as well as its own. Execution still
+// follows enqueue order, one command at a time: the bodies append to an
+// unsynchronized vector (TSan guards it).
+TEST(CommandQueue, ConcurrentWaitersKeepEnqueueOrder) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 200;
+  Device device(DeviceProfile::OpenClCpu());
+  CommandQueue* queue = device.default_queue();
+  std::mutex enqueue_mu;
+  std::vector<int> enqueued;  // Guarded by enqueue_mu.
+  std::vector<int> executed;  // Written only by command bodies.
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const int tag = t * kPerThread + i;
+        Event event;
+        {
+          std::lock_guard<std::mutex> lock(enqueue_mu);
+          enqueued.push_back(tag);
+          event = queue->EnqueueLaunch(
+              "append", 1, 1.0, [&executed, tag](std::size_t, std::size_t) {
+                executed.push_back(tag);
+              });
+        }
+        event.Wait();
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  queue->Finish();
+  EXPECT_EQ(executed, enqueued);
+  EXPECT_EQ(queue->Stats().pending, 0u);
+}
+
+// A host running a side-queue command resolves its wait-list like the
+// dispatcher does: it blocks on the gated default-queue command and runs
+// the body only after it completed.
+TEST(CommandQueue, HostRunCommandWaitsOnCrossQueueDependency) {
+  Device device(DeviceProfile::OpenClCpu());
+  CommandQueue side_queue(&device);
+  std::atomic<bool> release{false};
+  std::atomic<bool> gate_done{false};
+  const Event gate = device.default_queue()->EnqueueLaunch(
+      "gate", 1, 1.0, [&](std::size_t, std::size_t) {
+        while (!release.load()) std::this_thread::yield();
+        gate_done.store(true);
+      });
+  bool ordered = false;
+  const Event after = side_queue.EnqueueLaunch(
+      "after_gate", 1, 1.0,
+      [&](std::size_t, std::size_t) { ordered = gate_done.load(); },
+      /*accesses=*/{}, std::span<const Event>(&gate, 1));
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release.store(true);
+  });
+  after.Wait();
+  EXPECT_TRUE(ordered);
+  EXPECT_TRUE(gate.complete());
+  releaser.join();
+}
+
+// A command's captured scratch lease parks back into the pool before
+// Wait() returns, whichever thread ran it (the strict checker would abort
+// on a lease released while its command still counts as in flight).
+TEST(CommandQueue, ScratchParksBeforeHostRunWaitReturns) {
+  Device device(DeviceProfile::OpenClCpu());
+  device.EnableHazardChecking(HazardMode::kStrict);
+  CommandQueue* queue = device.default_queue();
+  const BufferPoolStats before = device.scratch_pool_stats();
+  for (int round = 0; round < 32; ++round) {
+    Event done;
+    {
+      ScratchBuffer scratch = device.AcquireScratch(4);
+      done = queue->EnqueueLaunch(
+          "leased_fill", 4, 1.0, std::tuple(Out(scratch, 0, 4)),
+          [](std::size_t begin, std::size_t end, double* out) {
+            for (std::size_t i = begin; i < end; ++i) out[i] = 1.0;
+          });
+    }  // The accessor's lease is now the only owner of the scratch.
+    done.Wait();
+    const BufferPoolStats after = device.scratch_pool_stats();
+    EXPECT_EQ(after.outstanding, before.outstanding) << round;
+    EXPECT_EQ(after.releases, before.releases + round + 1) << round;
+  }
+  EXPECT_TRUE(device.hazard_checker()->Validate().empty());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // the destruction-order regression for estimators sharing a group.
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -278,6 +279,99 @@ TEST(ModelCatalog, ExternalSnapshotPersistenceAcrossCatalogs) {
     ASSERT_TRUE(catalog_a.Feedback(fleet.keys[0], q.box, q.selectivity).ok());
     ASSERT_TRUE(catalog_b.Feedback(fleet.keys[0], q.box, q.selectivity).ok());
   }
+}
+
+// A fault-in releases the cold blob: the live model is the state of
+// record from then on. SaveSnapshot must still return a blob equal to a
+// never-evicted twin's, that blob must restore bitwise, and a second
+// evict/fault round trip must stay bitwise too.
+TEST(ModelCatalog, FaultInReleasesTheBlobAndSnapshotsStayBitwise) {
+  Fleet fleet(1, 20);
+  auto group = BuildDeviceGroup("cpu").MoveValueOrDie();
+  ModelCatalog catalog(group.get());
+  auto twin_group = BuildDeviceGroup("cpu").MoveValueOrDie();
+  ModelCatalog twin(twin_group.get());
+  fleet.RegisterAll(&catalog);
+  fleet.RegisterAll(&twin);
+  (void)fleet.Serve(&catalog);
+  (void)fleet.Serve(&twin);
+  const ModelKey& key = fleet.keys[0];
+
+  WorkloadGenerator generator(fleet.tables[0]);
+  Rng rng(41);
+  const std::vector<Query> stream = generator.Generate(
+      ParseWorkloadName("dt").ValueOrDie(), 12, &rng);
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(catalog.Evict(key).ok());
+    ASSERT_TRUE(catalog.Open(key).ok());  // Fault in, nothing served.
+    const std::vector<std::uint8_t> blob =
+        catalog.SaveSnapshot(key).MoveValueOrDie();
+    EXPECT_EQ(blob, twin.SaveSnapshot(key).MoveValueOrDie()) << round;
+
+    auto restored_group = BuildDeviceGroup("cpu").MoveValueOrDie();
+    ModelCatalog restored(restored_group.get());
+    ModelSpec spec;
+    spec.mode = KdeSelectivityEstimator::Mode::kAdaptive;
+    spec.config = fleet.configs[0];
+    spec.table = &fleet.tables[0];
+    ASSERT_TRUE(restored.RegisterFromSnapshot(key, std::move(spec), blob)
+                    .ok());
+    for (const Query& q : stream) {
+      const double a = catalog.Estimate(key, q.box).MoveValueOrDie();
+      const double b = twin.Estimate(key, q.box).MoveValueOrDie();
+      const double c = restored.Estimate(key, q.box).MoveValueOrDie();
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << round;
+      ASSERT_EQ(std::memcmp(&a, &c, sizeof(double)), 0) << round;
+      ASSERT_TRUE(catalog.Feedback(key, q.box, q.selectivity).ok());
+      ASSERT_TRUE(twin.Feedback(key, q.box, q.selectivity).ok());
+      ASSERT_TRUE(restored.Feedback(key, q.box, q.selectivity).ok());
+    }
+  }
+  EXPECT_EQ(catalog.StatsFor(key).MoveValueOrDie().faults, 2u);
+}
+
+// A non-finite truth is outside input: the catalog rejects it with
+// InvalidArgument before touching the model, its stats or its residency,
+// so later estimates (across several adaptive mini-batch steps) stay
+// bitwise equal to a twin that never saw the bad calls.
+TEST(ModelCatalog, NonFiniteFeedbackIsRejectedAndLeavesTheModelUntouched) {
+  Fleet fleet(1, 40);
+  auto group = BuildDeviceGroup("cpu").MoveValueOrDie();
+  ModelCatalog catalog(group.get());
+  auto twin_group = BuildDeviceGroup("cpu").MoveValueOrDie();
+  ModelCatalog twin(twin_group.get());
+  fleet.RegisterAll(&catalog);
+  fleet.RegisterAll(&twin);
+  const ModelKey& key = fleet.keys[0];
+  const std::vector<Query>& stream = fleet.workloads[0];
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+
+  // Cold (never built): rejection must not build the model.
+  for (const double truth : bad) {
+    EXPECT_TRUE(catalog.Feedback(key, stream[0].box, truth)
+                    .IsInvalidArgument());
+  }
+  EXPECT_FALSE(catalog.StatsFor(key).MoveValueOrDie().resident);
+
+  for (std::size_t q = 0; q < stream.size(); ++q) {
+    const double a = catalog.Estimate(key, stream[q].box).MoveValueOrDie();
+    const double b = twin.Estimate(key, stream[q].box).MoveValueOrDie();
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "query " << q;
+    const ModelStats before = catalog.StatsFor(key).MoveValueOrDie();
+    EXPECT_TRUE(catalog.Feedback(key, stream[q].box, bad[q % 3])
+                    .IsInvalidArgument());
+    const ModelStats after = catalog.StatsFor(key).MoveValueOrDie();
+    EXPECT_EQ(after.feedback_applied, before.feedback_applied);
+    EXPECT_EQ(after.resident, before.resident);
+    ASSERT_TRUE(catalog.Feedback(key, stream[q].box, stream[q].selectivity)
+                    .ok());
+    ASSERT_TRUE(twin.Feedback(key, stream[q].box, stream[q].selectivity)
+                    .ok());
+  }
+  EXPECT_EQ(catalog.StatsFor(key).MoveValueOrDie().feedback_applied,
+            stream.size());
 }
 
 TEST(ModelCatalog, FactoryRoutesKdeThroughCatalogAndDriverRuns) {
