@@ -5,7 +5,8 @@
 
 namespace fkde {
 
-KdeEngine::KdeEngine(DeviceSample* sample, KernelType kernel)
+KdeEngine::KdeEngine(DeviceSample* sample, KernelType kernel,
+                     std::span<const double> bandwidth)
     : sample_(sample), kernel_(kernel) {
   // The backend's fused loops size their stack arrays to the same ceiling.
   static_assert(kMaxDims == kb::kMaxDims);
@@ -34,7 +35,11 @@ KdeEngine::KdeEngine(DeviceSample* sample, KernelType kernel)
   // One slot up front, so the feedback context always names a real slot;
   // admissions grow the ring from there.
   ReleaseSlot(AcquireSlot());
-  FKDE_CHECK_OK(SetBandwidth(ComputeScottBandwidth()));
+  if (bandwidth.empty()) {
+    FKDE_CHECK_OK(SetBandwidth(ComputeScottBandwidth()));
+  } else {
+    FKDE_CHECK_OK(SetBandwidth(bandwidth));
+  }
 }
 
 std::size_t KdeEngine::AcquireSlot() {
@@ -154,18 +159,19 @@ void KdeEngine::PrepareForPass() {
   }
 }
 
-void KdeEngine::SnapshotBusy(std::vector<double>* out) const {
+void KdeEngine::SnapshotBusy(std::vector<BusyTicks>* out) const {
   out->resize(shards_.size());
   for (std::size_t si = 0; si < shards_.size(); ++si) {
-    (*out)[si] = shards_[si].device->DeviceBusySeconds();
+    (*out)[si] = shards_[si].device->DeviceBusyTicks();
   }
 }
 
-void KdeEngine::ObservePass(const std::vector<double>& busy_before) {
+void KdeEngine::ObservePass(const std::vector<BusyTicks>& busy_before) {
   if (shards_.size() < 2) return;
   std::vector<double> deltas(shards_.size());
   for (std::size_t si = 0; si < shards_.size(); ++si) {
-    deltas[si] = shards_[si].device->DeviceBusySeconds() - busy_before[si];
+    deltas[si] = BusySecondsBetween(busy_before[si],
+                                    shards_[si].device->DeviceBusyTicks());
   }
   sample_->ObserveShardSeconds(deltas);
 }
@@ -276,7 +282,7 @@ std::size_t KdeEngine::BeginEstimateSlot(const Box& box) {
   // Only an admission onto an empty ring may rebalance, and only its
   // busy delta is attributable to one pass.
   const bool alone = slots_in_flight() == 0;
-  std::vector<double> busy_before;
+  std::vector<BusyTicks> busy_before;
   if (alone) {
     PrepareForPass();
     SnapshotBusy(&busy_before);
@@ -378,7 +384,7 @@ double KdeEngine::EstimateWithGradient(const Box& box,
   const std::size_t d = dims();
   double staging[2 * kMaxDims];
   StageBounds(box, staging);
-  std::vector<double> busy_before;
+  std::vector<BusyTicks> busy_before;
   SnapshotBusy(&busy_before);
   const std::size_t slot = AcquireSlot();
 
@@ -625,7 +631,7 @@ void KdeEngine::EstimateBatch(std::span<const Box> boxes,
   if (boxes.empty()) return;
   PrepareForPass();
   const std::size_t m = boxes.size();
-  std::vector<double> busy_before;
+  std::vector<BusyTicks> busy_before;
   SnapshotBusy(&busy_before);
   const std::vector<double> descriptors = StageBatchDescriptors(boxes, {});
   std::vector<BatchShard> states = EnqueueBatchPipelines(
@@ -653,7 +659,7 @@ void KdeEngine::EstimateBatchWithGradient(std::span<const Box> boxes,
   PrepareForPass();
   const std::size_t m = boxes.size();
   const std::size_t d = dims();
-  std::vector<double> busy_before;
+  std::vector<BusyTicks> busy_before;
   SnapshotBusy(&busy_before);
   const std::vector<double> descriptors = StageBatchDescriptors(boxes, {});
   std::vector<BatchShard> states = EnqueueBatchPipelines(

@@ -59,8 +59,13 @@ namespace fkde {
 class KdeEngine {
  public:
   /// Wraps an already-loaded sample. The engine keeps a pointer; the
-  /// sample must outlive the engine. Bandwidth starts at Scott's rule.
-  KdeEngine(DeviceSample* sample, KernelType kernel);
+  /// sample must outlive the engine. The bandwidth starts at `bandwidth`
+  /// (arity dims(), positive and finite; one metered transfer per shard)
+  /// or, when it is empty, at Scott's rule computed on the device — the
+  /// build path. A snapshot restore passes the saved bandwidth, so it
+  /// runs no Scott pass.
+  KdeEngine(DeviceSample* sample, KernelType kernel,
+            std::span<const double> bandwidth = {});
 
   /// Drains every shard's device queue so no enqueued command outlives
   /// the engine's buffers (command_queue.h lifetime discipline).
@@ -323,11 +328,12 @@ class KdeEngine {
   /// is in flight.
   void PrepareForPass();
 
-  /// Snapshots per-shard `DeviceBusySeconds` into `out`.
-  void SnapshotBusy(std::vector<double>* out) const;
+  /// Snapshots per-shard `DeviceBusyTicks` into `out`.
+  void SnapshotBusy(std::vector<BusyTicks>* out) const;
 
-  /// Feeds `busy_after - busy_before` into the sample's throughput EWMA.
-  void ObservePass(const std::vector<double>& busy_before);
+  /// Feeds each shard's busy time since `busy_before` into the sample's
+  /// throughput EWMA.
+  void ObservePass(const std::vector<BusyTicks>& busy_before);
 
   /// Stages `box` bounds into `staging` (2d doubles).
   void StageBounds(const Box& box, double* staging) const;

@@ -6,7 +6,8 @@
 namespace fkde {
 
 KarmaMaintainer::KarmaMaintainer(KdeEngine* engine,
-                                 const KarmaOptions& options)
+                                 const KarmaOptions& options,
+                                 std::span<const double> karma_by_slot)
     : engine_(engine), options_(options) {
   FKDE_CHECK(engine != nullptr);
   FKDE_CHECK(options.k_max > 0.0);
@@ -21,7 +22,28 @@ KarmaMaintainer::KarmaMaintainer(KdeEngine* engine,
     // Sized once so the enqueued bitmap read-back never races a resize.
     sh.host_flags.resize((capacity + 31) / 32);
   }
-  ResetAllKarma();
+  if (karma_by_slot.empty()) {
+    ResetAllKarma();
+    return;
+  }
+  // Saved scores: only the live rows are written. The capacity tail stays
+  // unwritten; every pass reads just the live rows, and a migration that
+  // grows a shard re-zeroes the whole buffer first.
+  DeviceSample* sample = engine_->sample();
+  FKDE_CHECK_MSG(karma_by_slot.size() == sample->size(),
+                 "karma arity does not match sample size");
+  std::vector<double> staging;
+  for (std::size_t si = 0; si < shards_.size(); ++si) {
+    const std::size_t rows = sample->shard_size(si);
+    if (rows == 0) continue;
+    staging.resize(rows);
+    for (std::size_t local = 0; local < rows; ++local) {
+      staging[local] = karma_by_slot[sample->GlobalSlot(si, local)];
+    }
+    sample->shard_device(si)->CopyToDevice(staging.data(), rows,
+                                           &shards_[si].karma);
+  }
+  epoch_ = sample->migration_epoch();
 }
 
 KarmaMaintainer::~KarmaMaintainer() {
@@ -201,32 +223,12 @@ void KarmaMaintainer::ResetSlot(std::size_t slot) {
                                             local);
 }
 
-Status KarmaMaintainer::RestoreKarma(std::span<const double> karma_by_slot) {
-  if (update_pending_) {
-    return Status::FailedPrecondition(
-        "cannot restore Karma under a pending update");
-  }
-  DeviceSample* sample = engine_->sample();
-  if (karma_by_slot.size() != sample->size()) {
-    return Status::InvalidArgument("karma arity does not match sample size");
-  }
-  std::vector<double> staging;
-  for (std::size_t si = 0; si < shards_.size(); ++si) {
-    const std::size_t rows = sample->shard_size(si);
-    if (rows == 0) continue;
-    staging.resize(rows);
-    for (std::size_t local = 0; local < rows; ++local) {
-      staging[local] = karma_by_slot[sample->GlobalSlot(si, local)];
-    }
-    sample->shard_device(si)->CopyToDevice(staging.data(), rows,
-                                           &shards_[si].karma);
-  }
-  epoch_ = sample->migration_epoch();
-  return Status::OK();
-}
-
 std::vector<double> KarmaMaintainer::ReadKarma() {
   DeviceSample* sample = engine_->sample();
+  // Scores from before a migration index rows that moved; the next pass
+  // would restart them, so restart them now. This also keeps the read off
+  // rows a shard gained, which a restored buffer never wrote.
+  if (sample->migration_epoch() != epoch_) ResetAllKarma();
   const std::size_t s = engine_->sample_size();
   std::vector<double> host(s);
   std::vector<double> staging;

@@ -70,7 +70,12 @@ struct KarmaOptions {
 class KarmaMaintainer {
  public:
   /// Tracks the engine's sample. The engine must outlive the maintainer.
-  KarmaMaintainer(KdeEngine* engine, const KarmaOptions& options);
+  /// Scores start at `karma_by_slot`, global-slot indexed as `ReadKarma`
+  /// returns them, with one transfer of the live rows per non-empty shard
+  /// (snapshot restore); its arity must equal the sample size. Empty
+  /// starts every score at zero, the capacity included.
+  KarmaMaintainer(KdeEngine* engine, const KarmaOptions& options,
+                  std::span<const double> karma_by_slot = {});
 
   /// Drains the device queue so a pending update never outlives the
   /// Karma/bitmap buffers (command_queue.h lifetime discipline).
@@ -100,14 +105,8 @@ class KarmaMaintainer {
   /// Resets the Karma of a slot that was just replaced with a fresh row.
   void ResetSlot(std::size_t slot);
 
-  /// Reads back the full Karma vector (metered; tests/diagnostics).
+  /// Reads back the full Karma vector (metered; snapshot capture, tests).
   std::vector<double> ReadKarma();
-
-  /// Installs saved cumulative Karma scores, global-slot indexed as
-  /// produced by `ReadKarma` (snapshot warm restart; one transfer per
-  /// non-empty shard). Requires no pending update and an arity equal to
-  /// the sample size.
-  Status RestoreKarma(std::span<const double> karma_by_slot);
 
   const KarmaOptions& options() const { return options_; }
 

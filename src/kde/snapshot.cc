@@ -1,6 +1,8 @@
 #include "kde/snapshot.h"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <type_traits>
@@ -325,19 +327,21 @@ void ConfigFields(Ar& ar, KdeConfig& c) {
   ar.U64(c.reoptimize_every);
 }
 
-/// One periodic-ring entry as stored: the bounds before Box validates them.
-struct RingEntry {
-  std::vector<double> lower;
-  std::vector<double> upper;
-  double selectivity = 0.0;
-};
-
-/// The smallest stored RingEntry: two empty bound arrays and a double.
+/// The smallest stored ring entry: two empty bound arrays and a double.
 constexpr std::size_t kRingEntryMinBytes = 3 * sizeof(std::uint64_t);
 
+}  // namespace
+
 /// Everything after the header, in blob order. Snapshot fills it from the
-/// model; Restore validates it and installs it.
+/// model, Decode from a blob; Restore installs it.
 struct ModelBody {
+  /// One periodic-ring entry as stored: the bounds before Box takes them.
+  struct RingEntry {
+    std::vector<double> lower;
+    std::vector<double> upper;
+    double selectivity = 0.0;
+  };
+
   KdeConfig config;
   RngState rng;
   std::vector<double> rows;  ///< rows*dims, global-slot order.
@@ -363,6 +367,8 @@ struct ModelBody {
   std::size_t karma_replacements = 0;
   BatchReport report;
 };
+
+namespace {
 
 template <class Ar>
 void BodyFields(Ar& ar, ModelBody& b) {
@@ -406,7 +412,7 @@ void BodyFields(Ar& ar, ModelBody& b) {
   }
 
   ar.Count(b.ring, kRingEntryMinBytes);
-  for (RingEntry& e : b.ring) {
+  for (ModelBody::RingEntry& e : b.ring) {
     ar.Doubles(e.lower);
     ar.Doubles(e.upper);
     ar.F64(e.selectivity);
@@ -450,22 +456,86 @@ Result<ModelSnapshotHeader> ParseHeader(Reader* r) {
   return header;
 }
 
+/// Whether every entry is positive and finite — what the engine requires
+/// of a bandwidth and of point scales.
+bool AllPositiveFinite(const std::vector<double>& values) {
+  return std::all_of(values.begin(), values.end(), [](double v) {
+    return v > 0.0 && std::isfinite(v);
+  });
+}
+
+/// Checks a parsed body against its header: every count and value that
+/// does not depend on the restore target, so a rebuild can install the
+/// state without re-checking it (and never reaches an engine check).
+Status CheckBody(const ModelSnapshotHeader& header, const ModelBody& b) {
+  if (header.rows == 0 || header.rows > header.capacity) {
+    return Status::InvalidArgument("snapshot row counts are inconsistent");
+  }
+  // Divides rather than multiplies, so a hostile row count cannot wrap.
+  if (b.rows.size() % header.dims != 0 ||
+      b.rows.size() / header.dims != header.rows) {
+    return Status::InvalidArgument("snapshot sample payload truncated");
+  }
+  for (const std::vector<std::uint32_t>& slots : b.shard_slots) {
+    if (slots.size() > header.rows) {
+      return Status::InvalidArgument("snapshot shard layout truncated");
+    }
+  }
+  if (b.bandwidth.size() != header.dims) {
+    return Status::InvalidArgument("snapshot bandwidth arity mismatch");
+  }
+  if (!AllPositiveFinite(b.bandwidth)) {
+    return Status::InvalidArgument(
+        "snapshot bandwidth entries must be positive and finite");
+  }
+  if (b.has_scales && (b.scales.size() != header.rows ||
+                       !AllPositiveFinite(b.scales))) {
+    return Status::InvalidArgument(
+        "snapshot point scales must be positive and finite, one per row");
+  }
+  if (b.has_karma && b.karma.size() != header.rows) {
+    return Status::InvalidArgument("snapshot karma arity mismatch");
+  }
+  for (std::size_t slot : b.pending_karma_slots) {
+    if (slot >= header.rows) {
+      return Status::InvalidArgument("snapshot pending slot out of range");
+    }
+  }
+  for (const ModelBody::RingEntry& e : b.ring) {
+    if (e.lower.size() != header.dims || e.upper.size() != header.dims) {
+      return Status::InvalidArgument("snapshot ring box dims mismatch");
+    }
+    for (std::size_t j = 0; j < header.dims; ++j) {
+      if (!(e.lower[j] <= e.upper[j])) {
+        return Status::InvalidArgument("snapshot ring box bounds inverted");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-/// Friend of KdeSelectivityEstimator: reads/writes the private model
-/// state and rebuilds estimators outside the Create path.
+SavedModel::SavedModel() = default;
+SavedModel::SavedModel(SavedModel&&) noexcept = default;
+SavedModel& SavedModel::operator=(SavedModel&&) noexcept = default;
+SavedModel::~SavedModel() = default;
+
+/// Friend of KdeSelectivityEstimator and SavedModel: captures the private
+/// model state, moves it through the codec, and rebuilds estimators
+/// outside the Create path.
 class ModelSnapshotAccess {
  public:
-  static Result<std::vector<std::uint8_t>> Snapshot(
-      KdeSelectivityEstimator* m) {
+  /// Capture: model → SavedModel.
+  static SavedModel Snapshot(KdeSelectivityEstimator* m) {
     // Fold in-flight device passes into host state; behavior-neutral (see
     // Quiesce's contract), so the original may keep serving afterwards.
     m->Quiesce();
 
     DeviceSample* sample = m->sample_.get();
     KdeEngine* engine = m->engine_.get();
-    std::uint32_t magic = kModelSnapshotMagic;
-    ModelSnapshotHeader header;
+    SavedModel saved;
+    ModelSnapshotHeader& header = saved.header_;
     header.version = kModelSnapshotVersion;
     header.mode = m->mode_;
     header.dims = static_cast<std::uint32_t>(sample->dims());
@@ -473,7 +543,8 @@ class ModelSnapshotAccess {
     header.rows = sample->size();
     header.shards = static_cast<std::uint32_t>(sample->num_shards());
 
-    ModelBody b;
+    saved.body_ = std::make_unique<ModelBody>();
+    ModelBody& b = *saved.body_;
     b.config = m->config_;
     b.rng = m->rng_.SaveState();
     b.rows = sample->GatherRows();
@@ -503,7 +574,17 @@ class ModelSnapshotAccess {
     b.reoptimizations = m->reoptimizations_;
     b.karma_replacements = m->karma_replacements_;
     b.report = m->batch_report_;
+    return saved;
+  }
 
+  /// Encode: SavedModel → blob, always in the current version.
+  static std::vector<std::uint8_t> Encode(const SavedModel& saved) {
+    std::uint32_t magic = kModelSnapshotMagic;
+    ModelSnapshotHeader header = saved.header_;
+    header.version = kModelSnapshotVersion;
+    // The walk takes its fields by reference because the Reader fills
+    // them; SizeCounter and Writer only read.
+    ModelBody& b = *saved.body_;
     SizeCounter size;
     HeaderFields(size, magic, header);
     BodyFields(size, b);
@@ -513,8 +594,41 @@ class ModelSnapshotAccess {
     return w.Finish();
   }
 
+  /// Decode: blob → SavedModel, verified and checked (CheckBody).
+  static Result<SavedModel> Decode(std::span<const std::uint8_t> bytes) {
+    if (bytes.size() < sizeof(std::uint64_t)) {
+      return Status::InvalidArgument("snapshot blob truncated");
+    }
+    // Verify integrity before trusting any field.
+    if (!TrailerMatches(bytes)) {
+      return Status::InvalidArgument("snapshot checksum mismatch");
+    }
+    Reader r(bytes.first(bytes.size() - sizeof(std::uint64_t)));
+    SavedModel saved;
+    FKDE_ASSIGN_OR_RETURN(saved.header_, ParseHeader(&r));
+    // Each shard stores at least its slot count; bound the shard list by
+    // the blob before sizing it.
+    if (saved.header_.shards > bytes.size() / sizeof(std::uint64_t)) {
+      return Status::InvalidArgument("snapshot shard count exceeds the blob");
+    }
+    saved.body_ = std::make_unique<ModelBody>();
+    ModelBody& b = *saved.body_;
+    b.shard_slots.resize(saved.header_.shards);
+    BodyFields(r, b);
+    if (!r.ok()) {
+      return Status::InvalidArgument("snapshot blob truncated");
+    }
+    if (!r.at_end()) {
+      return Status::InvalidArgument("snapshot blob has trailing bytes");
+    }
+    FKDE_RETURN_NOT_OK(CheckBody(saved.header_, b));
+    return saved;
+  }
+
+  /// Rebuild: SavedModel → model on `device` or `group`. The state was
+  /// checked when it was made; only its fit to the target is checked here.
   static Result<std::unique_ptr<KdeSelectivityEstimator>> Restore(
-      std::span<const std::uint8_t> bytes, Device* device, DeviceGroup* group,
+      const SavedModel& saved, Device* device, DeviceGroup* group,
       const Table* table) {
     if (table == nullptr) {
       return Status::InvalidArgument("restore requires the base table");
@@ -523,16 +637,8 @@ class ModelSnapshotAccess {
       return Status::InvalidArgument(
           "restore requires exactly one of device or group");
     }
-    if (bytes.size() < sizeof(std::uint64_t)) {
-      return Status::InvalidArgument("snapshot blob truncated");
-    }
-    // Verify integrity before trusting any field.
-    if (!TrailerMatches(bytes)) {
-      return Status::InvalidArgument("snapshot checksum mismatch");
-    }
-
-    Reader r(bytes.first(bytes.size() - sizeof(std::uint64_t)));
-    FKDE_ASSIGN_OR_RETURN(const ModelSnapshotHeader header, ParseHeader(&r));
+    const ModelSnapshotHeader& header = saved.header_;
+    const ModelBody& b = *saved.body_;
     if (table->num_cols() != header.dims) {
       return Status::InvalidArgument("table dims do not match the snapshot");
     }
@@ -541,9 +647,6 @@ class ModelSnapshotAccess {
       return Status::FailedPrecondition(
           "snapshot shard layout does not match the target topology");
     }
-    if (header.rows == 0 || header.rows > header.capacity) {
-      return Status::InvalidArgument("snapshot row counts are inconsistent");
-    }
     // A sample never holds more rows than its base table (Create sizes it
     // to min(sample_size, rows)); this also bounds the device allocation.
     if (header.capacity > table->num_rows()) {
@@ -551,41 +654,10 @@ class ModelSnapshotAccess {
           "snapshot sample capacity exceeds the table");
     }
 
-    ModelBody b;
-    b.shard_slots.resize(header.shards);
-    BodyFields(r, b);
-    if (!r.ok()) {
-      return Status::InvalidArgument("snapshot blob truncated");
-    }
-    if (!r.at_end()) {
-      return Status::InvalidArgument("snapshot blob has trailing bytes");
-    }
-    if (b.rows.size() != header.rows * header.dims) {
-      return Status::InvalidArgument("snapshot sample payload truncated");
-    }
-    for (const std::vector<std::uint32_t>& slots : b.shard_slots) {
-      if (slots.size() > header.rows) {
-        return Status::InvalidArgument("snapshot shard layout truncated");
-      }
-    }
-    std::vector<Query> ring(b.ring.size());
-    for (std::size_t i = 0; i < ring.size(); ++i) {
-      RingEntry& e = b.ring[i];
-      if (e.lower.size() != header.dims || e.upper.size() != header.dims) {
-        return Status::InvalidArgument("snapshot ring box dims mismatch");
-      }
-      for (std::size_t j = 0; j < header.dims; ++j) {
-        if (!(e.lower[j] <= e.upper[j])) {
-          return Status::InvalidArgument("snapshot ring box bounds inverted");
-        }
-      }
-      ring[i].box = Box(std::move(e.lower), std::move(e.upper));
-      ring[i].selectivity = e.selectivity;
-    }
-
     // Rebuild. The Create path's mode-specific construction (SCV/batch
     // optimization, Scott tuning) must NOT re-run: the saved state IS the
-    // post-construction, post-adaptation model.
+    // post-construction, post-adaptation model, and each piece of it is
+    // installed once.
     const KdeConfig& config = b.config;
     std::unique_ptr<KdeSelectivityEstimator> est(
         new KdeSelectivityEstimator(header.mode, table, config));
@@ -598,13 +670,10 @@ class ModelSnapshotAccess {
                              header.dims);
     FKDE_RETURN_NOT_OK(est->sample_->LoadShardLayout(
         b.rows, static_cast<std::size_t>(header.rows), b.shard_slots));
-    // The engine constructor runs a Scott pass (feeding the rebalancer's
-    // EWMA on multi-shard samples), so the saved rates install after it.
-    est->engine_ =
-        std::make_unique<KdeEngine>(est->sample_.get(), config.kernel);
     FKDE_RETURN_NOT_OK(
         est->sample_->RestoreRates(b.shard_rates, b.observed_passes));
-    FKDE_RETURN_NOT_OK(est->engine_->SetBandwidth(b.bandwidth));
+    est->engine_ = std::make_unique<KdeEngine>(est->sample_.get(),
+                                               config.kernel, b.bandwidth);
     if (b.has_scales) {
       FKDE_RETURN_NOT_OK(est->engine_->SetPointScales(b.scales));
     }
@@ -614,20 +683,17 @@ class ModelSnapshotAccess {
       FKDE_RETURN_NOT_OK(est->adaptive_->RestoreState(b.adaptive));
     }
     if (b.has_karma) {
-      est->karma_.emplace(est->engine_.get(), config.karma);
-      FKDE_RETURN_NOT_OK(est->karma_->RestoreKarma(b.karma));
+      est->karma_.emplace(est->engine_.get(), config.karma, b.karma);
     }
-    for (std::size_t slot : b.pending_karma_slots) {
-      if (slot >= est->sample_->size()) {
-        return Status::InvalidArgument("snapshot pending slot out of range");
-      }
-    }
-    est->pending_karma_slots_ = std::move(b.pending_karma_slots);
+    est->pending_karma_slots_ = b.pending_karma_slots;
     if (b.has_reservoir) {
       est->reservoir_.emplace(est->sample_.get(), &est->rng_);
       est->reservoir_->RestoreCounters(b.accepted, b.observed);
     }
-    est->feedback_ring_ = std::move(ring);
+    est->feedback_ring_.reserve(b.ring.size());
+    for (const ModelBody::RingEntry& e : b.ring) {
+      est->feedback_ring_.push_back({Box(e.lower, e.upper), e.selectivity});
+    }
     est->ring_next_ = b.ring_next;
     est->feedback_since_optimize_ = b.since_optimize;
     est->reoptimizations_ = b.reoptimizations;
@@ -643,29 +709,54 @@ Result<ModelSnapshotHeader> ReadModelSnapshotHeader(
   return ParseHeader(&r);
 }
 
-Result<std::vector<std::uint8_t>> SnapshotModel(
-    KdeSelectivityEstimator* model) {
+Result<SavedModel> SaveModel(KdeSelectivityEstimator* model) {
   if (model == nullptr) {
     return Status::InvalidArgument("model must be non-null");
   }
   return ModelSnapshotAccess::Snapshot(model);
 }
 
-Result<std::unique_ptr<KdeSelectivityEstimator>> RestoreModel(
-    std::span<const std::uint8_t> bytes, Device* device, const Table* table) {
+std::vector<std::uint8_t> EncodeModel(const SavedModel& saved) {
+  return ModelSnapshotAccess::Encode(saved);
+}
+
+Result<SavedModel> DecodeModel(std::span<const std::uint8_t> bytes) {
+  return ModelSnapshotAccess::Decode(bytes);
+}
+
+Result<std::unique_ptr<KdeSelectivityEstimator>> RebuildModel(
+    const SavedModel& saved, Device* device, const Table* table) {
   if (device == nullptr) {
     return Status::InvalidArgument("device must be non-null");
   }
-  return ModelSnapshotAccess::Restore(bytes, device, nullptr, table);
+  return ModelSnapshotAccess::Restore(saved, device, nullptr, table);
+}
+
+Result<std::unique_ptr<KdeSelectivityEstimator>> RebuildModel(
+    const SavedModel& saved, DeviceGroup* group, const Table* table) {
+  if (group == nullptr) {
+    return Status::InvalidArgument("group must be non-null");
+  }
+  return ModelSnapshotAccess::Restore(saved, nullptr, group, table);
+}
+
+Result<std::vector<std::uint8_t>> SnapshotModel(
+    KdeSelectivityEstimator* model) {
+  FKDE_ASSIGN_OR_RETURN(const SavedModel saved, SaveModel(model));
+  return EncodeModel(saved);
+}
+
+Result<std::unique_ptr<KdeSelectivityEstimator>> RestoreModel(
+    std::span<const std::uint8_t> bytes, Device* device, const Table* table) {
+  FKDE_ASSIGN_OR_RETURN(const SavedModel saved, DecodeModel(bytes));
+  return RebuildModel(saved, device, table);
 }
 
 Result<std::unique_ptr<KdeSelectivityEstimator>> RestoreModel(
     std::span<const std::uint8_t> bytes, DeviceGroup* group,
     const Table* table) {
-  if (group == nullptr) {
-    return Status::InvalidArgument("group must be non-null");
-  }
-  return ModelSnapshotAccess::Restore(bytes, nullptr, group, table);
+  FKDE_ASSIGN_OR_RETURN(const SavedModel saved, DecodeModel(bytes));
+  return RebuildModel(saved, group, table);
 }
 
 }  // namespace fkde

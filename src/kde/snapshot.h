@@ -25,6 +25,20 @@
 /// Gaussian spare). In-flight device passes are folded into host state by
 /// `KdeSelectivityEstimator::Quiesce()` before serialization.
 ///
+/// ## Two steps each way
+///
+/// Saving is a capture (`SaveModel`: model → `SavedModel`, host values)
+/// followed by an encode (`EncodeModel`: `SavedModel` → blob); restoring is
+/// a decode (`DecodeModel`: blob → `SavedModel`, checked once) followed by
+/// a rebuild (`RebuildModel`: `SavedModel` → model). `SnapshotModel` and
+/// `RestoreModel` run both steps. The catalog parks an evicted model as its
+/// `SavedModel` and rebuilds from it on a fault, so the codec runs only
+/// when a model crosses the process boundary. A rebuild installs the saved
+/// state once: the engine starts at the saved bandwidth (no Scott pass)
+/// and Karma at the saved scores, so its device cost is the sample, the
+/// bandwidth, the optional point scales and the Karma scores, with no
+/// kernel launch.
+///
 /// ## Format
 ///
 /// Little-endian, fixed-width fields; doubles are stored as their raw
@@ -88,26 +102,71 @@ struct ModelSnapshotHeader {
 };
 
 /// Parses and validates the header of `bytes` (magic + version checked;
-/// the payload checksum is NOT verified here — RestoreModel does that).
+/// the payload checksum is NOT verified here — DecodeModel does that).
 Result<ModelSnapshotHeader> ReadModelSnapshotHeader(
     std::span<const std::uint8_t> bytes);
 
-/// Serializes `model` into a versioned blob. Quiesces the model first
-/// (collects in-flight gradient/Karma passes into host state), which
-/// never changes the model's subsequent estimates or decisions — the
-/// original may keep serving after being snapshotted.
+/// Everything a blob holds after its header, as host values (snapshot.cc).
+struct ModelBody;
+
+/// \brief A model's saved state as host values: exactly what a blob
+/// encodes, decoded. Only `SaveModel` and `DecodeModel` make one, so every
+/// SavedModel holds a complete, checked state that `RebuildModel` installs
+/// as it is. It holds about what its blob holds (the sample as doubles).
+class SavedModel {
+ public:
+  SavedModel(SavedModel&&) noexcept;
+  SavedModel& operator=(SavedModel&&) noexcept;
+  ~SavedModel();
+
+  const ModelSnapshotHeader& header() const { return header_; }
+
+ private:
+  friend class ModelSnapshotAccess;
+  SavedModel();
+
+  ModelSnapshotHeader header_;
+  std::unique_ptr<ModelBody> body_;
+};
+
+/// Captures `model`'s state. Quiesces the model first (collects in-flight
+/// gradient/Karma passes into host state), which never changes the
+/// model's subsequent estimates or decisions — the original may keep
+/// serving after being saved.
+Result<SavedModel> SaveModel(KdeSelectivityEstimator* model);
+
+/// Encodes a saved state into a versioned blob (the current version).
+std::vector<std::uint8_t> EncodeModel(const SavedModel& saved);
+
+/// Decodes a blob of any readable version: verifies its checksum, parses
+/// it and checks every field that does not depend on the restore target
+/// (row and array counts, shard slot counts, bandwidth and point scales
+/// positive and finite, Karma and ring arity, pending slots in range).
+/// InvalidArgument for anything else.
+Result<SavedModel> DecodeModel(std::span<const std::uint8_t> bytes);
+
+/// Rebuilds a saved model onto `device` (single-shard states only).
+/// `table` is the model's base table — the adaptive variant draws Karma
+/// replacement rows from it — and must have the state's dims and at least
+/// its sample capacity in rows. `saved` is left as it was.
+Result<std::unique_ptr<KdeSelectivityEstimator>> RebuildModel(
+    const SavedModel& saved, Device* device, const Table* table);
+
+/// Rebuilds a saved model sharded across `group`; the group's device
+/// count must equal the state's shard count (a saved layout is reproduced
+/// verbatim, never re-apportioned).
+Result<std::unique_ptr<KdeSelectivityEstimator>> RebuildModel(
+    const SavedModel& saved, DeviceGroup* group, const Table* table);
+
+/// Serializes `model` into a versioned blob: `EncodeModel(SaveModel())`.
 Result<std::vector<std::uint8_t>> SnapshotModel(
     KdeSelectivityEstimator* model);
 
-/// Rebuilds the serialized model onto `device` (single-shard snapshots
-/// only). `table` is the model's base table — the adaptive variant draws
-/// Karma replacement rows from it — and must have the snapshot's dims.
+/// `RebuildModel(DecodeModel(bytes), device, table)`.
 Result<std::unique_ptr<KdeSelectivityEstimator>> RestoreModel(
     std::span<const std::uint8_t> bytes, Device* device, const Table* table);
 
-/// Rebuilds the serialized model sharded across `group`; the group's
-/// device count must equal the snapshot's shard count (a saved layout is
-/// reproduced verbatim, never re-apportioned).
+/// `RebuildModel(DecodeModel(bytes), group, table)`.
 Result<std::unique_ptr<KdeSelectivityEstimator>> RestoreModel(
     std::span<const std::uint8_t> bytes, DeviceGroup* group,
     const Table* table);

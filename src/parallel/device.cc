@@ -1,6 +1,7 @@
 #include "parallel/device.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -15,7 +16,18 @@ namespace {
 /// models the same cost as the scalar CPU rather than guessing.
 std::atomic<double> g_simd_throughput_ratio{1.0};
 
+constexpr int kBusyTickExponent = 96;  // 2^-96 s per BusyTicks tick.
+
+BusyTicks ToBusyTicks(double seconds) {
+  return static_cast<BusyTicks>(std::ldexp(seconds, kBusyTickExponent));
+}
+
 }  // namespace
+
+double BusySecondsBetween(BusyTicks before, BusyTicks after) {
+  if (after < before) return 0.0;
+  return std::ldexp(static_cast<double>(after - before), -kBusyTickExponent);
+}
 
 void SetSimdThroughputRatio(double ratio) {
   if (ratio > 0.0) {
@@ -106,7 +118,7 @@ double Device::BookLaunch(std::size_t global_size, double ops_per_item,
   const double duration = static_cast<double>(global_size) * ops_per_item /
                           profile_.compute_throughput;
   device_pos_s_ = start + duration;
-  busy_s_ += duration;
+  busy_ticks_ += ToBusyTicks(duration);
   return device_pos_s_;
 }
 
@@ -127,7 +139,7 @@ double Device::BookTransfer(std::uint64_t bytes, bool to_device,
   const double duration =
       static_cast<double>(bytes) / profile_.transfer_bandwidth;
   device_pos_s_ = start + duration;
-  busy_s_ += duration;
+  busy_ticks_ += ToBusyTicks(duration);
   return device_pos_s_;
 }
 
@@ -158,8 +170,12 @@ double Device::HostStallSeconds() const {
 }
 
 double Device::DeviceBusySeconds() const {
+  return BusySecondsBetween(0, DeviceBusyTicks());
+}
+
+BusyTicks Device::DeviceBusyTicks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return busy_s_;
+  return busy_ticks_;
 }
 
 double Device::IdleGapFraction() const {
@@ -173,7 +189,7 @@ void Device::ResetModeledTime() {
   // modeled schedule); only the reported accumulators reset.
   overhead_s_ = 0.0;
   stall_s_ = 0.0;
-  busy_s_ = 0.0;
+  busy_ticks_ = 0;
 }
 
 void Device::ResetLedger() {

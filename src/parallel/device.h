@@ -114,6 +114,15 @@ void SetSimdThroughputRatio(double ratio);
 /// The currently installed simd throughput ratio (1.0 until calibrated).
 double SimdThroughputRatio();
 
+/// Modeled busy time in fixed point: 2^-96 s per tick, so every booked
+/// duration above ~6e-14 s converts exactly and sums never round (the
+/// range is 2^32 s).
+using BusyTicks = unsigned __int128;
+
+/// Seconds in `after - before` (two `Device::DeviceBusyTicks` readings),
+/// rounded once; 0 when a `ResetModeledTime` fell in between.
+double BusySecondsBetween(BusyTicks before, BusyTicks after);
+
 /// \brief Counters for all traffic and launches on a device.
 ///
 /// Counted at enqueue time (deterministically, under the device mutex),
@@ -529,6 +538,14 @@ class Device {
   /// since the last `ResetModeledTime`, whether or not the host waited.
   double DeviceBusySeconds() const;
 
+  /// The same occupancy as an exact fixed-point count (`BusyTicks`), for
+  /// measuring a span of work: the busy time between two readings
+  /// (`BusySecondsBetween`) is the sum of the durations booked in between,
+  /// independent of everything the device ran before. A rebalancer on a
+  /// device shared with other models, or restored onto a fresh one, then
+  /// measures a pass exactly as it would alone.
+  BusyTicks DeviceBusyTicks() const;
+
   /// Stall fraction of the modeled clock —
   /// `HostStallSeconds / ModeledSeconds`, read under one lock — the
   /// "idle gap" of the benches: time the host sat waiting for device work
@@ -571,7 +588,7 @@ class Device {
   double device_pos_s_ = 0.0;  ///< Device-available instant (monotone).
   double overhead_s_ = 0.0;    ///< ModeledSeconds accumulator.
   double stall_s_ = 0.0;       ///< HostStallSeconds accumulator.
-  double busy_s_ = 0.0;        ///< DeviceBusySeconds accumulator.
+  BusyTicks busy_ticks_ = 0;   ///< DeviceBusySeconds accumulator.
 
   /// Shared with every ScratchBuffer deleter: a handle released after the
   /// device is gone still parks into a live pool.

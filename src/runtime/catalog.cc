@@ -32,8 +32,8 @@ class CatalogModelHandle : public SelectivityEstimator {
   void OnInsert(std::span<const double> row,
                 std::size_t table_rows_after) override {
     // Insert notifications only matter to a resident adaptive model; a
-    // cold model's reservoir counters resume from its snapshot, exactly
-    // as the paper's lazily-loaded models miss no correctness (the
+    // parked model's reservoir counters resume from its saved state,
+    // exactly as the paper's lazily-loaded models miss no correctness (the
     // sample just refreshes through later inserts/Karma).
     Result<KdeSelectivityEstimator*> model = catalog_->Open(key_);
     FKDE_CHECK_OK(model.status());
@@ -91,17 +91,20 @@ Status ModelCatalog::Register(const ModelKey& key, ModelSpec spec) {
   return Status::OK();
 }
 
-Status ModelCatalog::RegisterFromSnapshot(const ModelKey& key, ModelSpec spec,
-                                          std::vector<std::uint8_t> snapshot) {
-  FKDE_ASSIGN_OR_RETURN(const ModelSnapshotHeader header,
-                        ReadModelSnapshotHeader(snapshot));
-  if (spec.table != nullptr && spec.table->num_cols() != header.dims) {
+Status ModelCatalog::RegisterFromSnapshot(
+    const ModelKey& key, ModelSpec spec,
+    std::span<const std::uint8_t> snapshot) {
+  // Decode and check once, here: the model parks as decoded state, so a
+  // later fault rebuilds without the codec.
+  FKDE_ASSIGN_OR_RETURN(SavedModel saved, DecodeModel(snapshot));
+  if (spec.table != nullptr &&
+      spec.table->num_cols() != saved.header().dims) {
     return Status::InvalidArgument("snapshot dims do not match the table");
   }
   FKDE_RETURN_NOT_OK(Register(key, std::move(spec)));
   FKDE_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(key));
   std::lock_guard<std::mutex> lock(entry->mu);
-  entry->snapshot = std::move(snapshot);
+  entry->parked.emplace(std::move(saved));
   return Status::OK();
 }
 
@@ -176,7 +179,7 @@ Result<std::vector<std::uint8_t>> ModelCatalog::SaveSnapshot(
   if (entry->model != nullptr) {
     return SnapshotModel(entry->model.get());
   }
-  if (!entry->snapshot.empty()) return entry->snapshot;
+  if (entry->parked.has_value()) return EncodeModel(*entry->parked);
   return Status::FailedPrecondition(
       "model was never built, nothing to snapshot: " + key.ToString());
 }
@@ -250,15 +253,16 @@ Status ModelCatalog::EnsureResidentLocked(Entry* entry) {
   entry->lru_tick.store(lru_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
   if (entry->model == nullptr) {
-    if (!entry->snapshot.empty()) {
-      // Fault the evicted model back; the restored instance is
+    if (entry->parked.has_value()) {
+      // Fault the parked model back; the rebuilt instance is
       // bitwise-faithful, so eviction history never shows in estimates.
       FKDE_ASSIGN_OR_RETURN(
           entry->model,
-          RestoreModel(entry->snapshot, group_, entry->spec.table));
+          RebuildModel(*entry->parked, group_, entry->spec.table));
       // The live model is now the state of record (SaveSnapshot reads it,
-      // the next eviction rewrites the blob); release the blob's storage.
-      std::vector<std::uint8_t>().swap(entry->snapshot);
+      // the next eviction parks it again); release the parked state. A
+      // failed rebuild keeps it.
+      entry->parked.reset();
       entry->faults.fetch_add(1, std::memory_order_relaxed);
       faults_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -326,9 +330,11 @@ Status ModelCatalog::EnforceBudget(const Entry* keep) {
 }
 
 Status ModelCatalog::EvictEntryLocked(Entry* entry) {
-  // SnapshotModel quiesces: in-flight gradient/Karma passes fold into
-  // host state before the engine's destructor drains the queues.
-  FKDE_ASSIGN_OR_RETURN(entry->snapshot, SnapshotModel(entry->model.get()));
+  // SaveModel quiesces: in-flight gradient/Karma passes fold into host
+  // state before the engine's destructor drains the queues. The state
+  // parks decoded; nothing is encoded until a SaveSnapshot asks.
+  FKDE_ASSIGN_OR_RETURN(SavedModel saved, SaveModel(entry->model.get()));
+  entry->parked.emplace(std::move(saved));
   entry->model.reset();
   entry->resident.store(false, std::memory_order_relaxed);
   entry->device_bytes.store(0, std::memory_order_relaxed);

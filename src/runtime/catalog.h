@@ -13,17 +13,23 @@
 ///    and `Drop` removes it. Per-model `ModelStats` count queries served,
 ///    feedback observations applied, evictions, faults and the model's
 ///    device footprint.
-///  * **Persistence** — eviction and `SaveSnapshot` serialize models with
-///    the versioned codec of kde/snapshot.h; a restored model is
-///    bitwise-faithful (same estimate bits, same Karma/bandwidth
-///    decisions), so serving quality never depends on residency history.
+///  * **Two tiers** — a model is *resident* (a live estimator on the
+///    group's devices) or *parked* (its `SavedModel`, the decoded state
+///    of kde/snapshot.h, in host memory). Eviction captures a resident
+///    model and parks it; a fault rebuilds it from the parked state. A
+///    rebuilt model is bitwise-faithful (same estimate bits, same
+///    Karma/bandwidth decisions), so serving quality never depends on
+///    residency history.
+///  * **Persistence** — the snapshot codec runs only at the process
+///    boundary: `SaveSnapshot` encodes (a resident model is captured
+///    first), and `RegisterFromSnapshot` decodes and checks once, then
+///    parks.
 ///  * **Admission & eviction** — `CatalogOptions::device_budget_bytes`
 ///    bounds the models' aggregate device footprint. On pressure the
 ///    catalog first trims the group's parked scratch buffers (free
 ///    memory, no model impact), then evicts least-recently-used
-///    non-pinned models: quiesce, snapshot to the in-memory blob store,
-///    destroy. An evicted model faults back transparently on its next
-///    query.
+///    non-pinned models: quiesce, capture, park, destroy. An evicted
+///    model faults back transparently on its next query.
 ///
 /// All models are tenants of ONE `DeviceGroup`: their per-query passes
 /// interleave on the shared in-order queues, which is safe because every
@@ -57,6 +63,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,6 +72,7 @@
 #include "data/table.h"
 #include "estimator/estimator.h"
 #include "kde/kde_estimator.h"
+#include "kde/snapshot.h"
 #include "parallel/device_group.h"
 #include "workload/workload.h"
 
@@ -103,8 +112,8 @@ struct ModelSpec {
 struct ModelStats {
   std::uint64_t queries_served = 0;
   std::uint64_t feedback_applied = 0;
-  std::uint64_t evictions = 0;  ///< Times spilled to a snapshot.
-  std::uint64_t faults = 0;     ///< Times restored from a snapshot.
+  std::uint64_t evictions = 0;  ///< Times parked off the device.
+  std::uint64_t faults = 0;     ///< Times rebuilt from the parked state.
   std::size_t device_bytes = 0;  ///< Model footprint while resident, else 0.
   bool resident = false;
   bool pinned = false;
@@ -146,7 +155,7 @@ class ModelCatalog {
   /// InvalidArgument on a null/empty table or a column-count mismatch.
   Status Register(const ModelKey& key, ModelSpec spec);
 
-  /// Removes the model, its snapshot blob and its stats entirely.
+  /// Removes the model, its parked state and its stats entirely.
   Status Drop(const ModelKey& key);
 
   /// Serves one estimate through the model (building or faulting it in
@@ -168,17 +177,21 @@ class ModelCatalog {
   /// Pins (or unpins) the model: pinned models are never evicted.
   Status Pin(const ModelKey& key, bool pinned);
 
-  /// Serializes the model's current state (resident or not) and returns
-  /// the blob — external persistence across process restarts.
+  /// Serializes the model's current state (resident or parked) and
+  /// returns the blob — external persistence across process restarts. A
+  /// parked model's blob equals the one it would give had it stayed
+  /// resident.
   Result<std::vector<std::uint8_t>> SaveSnapshot(const ModelKey& key);
 
   /// Registers a model directly from a snapshot blob (warm restart from
-  /// external storage). The model starts cold and faults in on first use.
+  /// external storage). The blob is decoded and checked here, so a bad one
+  /// fails registration with InvalidArgument; the model starts parked and
+  /// faults in on first use.
   Status RegisterFromSnapshot(const ModelKey& key, ModelSpec spec,
-                              std::vector<std::uint8_t> snapshot);
+                              std::span<const std::uint8_t> snapshot);
 
-  /// Evicts the model now (quiesce + snapshot + destroy); no-op when not
-  /// resident. FailedPrecondition when pinned.
+  /// Evicts the model now (quiesce + capture + park + destroy); no-op
+  /// when not resident. FailedPrecondition when pinned.
   Status Evict(const ModelKey& key);
 
   /// Wraps the model as a `SelectivityEstimator` bound to this catalog —
@@ -201,12 +214,14 @@ class ModelCatalog {
     /// Serializes this model's build / serve / snapshot / evict. Held
     /// while the model enqueues onto the shared device queues.
     std::mutex mu;
-    /// Live estimator; null while cold (snapshot holds the state).
+    /// Resident tier: the live estimator, the state of record while set.
     /// Guarded by `mu`.
     std::unique_ptr<KdeSelectivityEstimator> model;
-    /// Last snapshot; state of record while the model is cold, released
-    /// once a fault-in restored it. Guarded by `mu`.
-    std::vector<std::uint8_t> snapshot;
+    /// Parked tier: the decoded state of an evicted (or snapshot-
+    /// registered) model, the state of record while `model` is null.
+    /// Released when a fault rebuilds the model, so at most one of the
+    /// two is set; neither is before the first build. Guarded by `mu`.
+    std::optional<SavedModel> parked;
     /// Counters read by Stats()/UsedBytes() without taking `mu`.
     std::atomic<std::uint64_t> queries_served{0};
     std::atomic<std::uint64_t> feedback_applied{0};

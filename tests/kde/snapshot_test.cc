@@ -1,10 +1,13 @@
 // Snapshot codec: golden format pin (magic/version/header bytes), corrupt
 // and version-mismatch rejection, and the warm-restart property — a
 // restored model is bitwise-faithful to the original over a long
-// subsequent query stream, including its Karma replacement decisions.
+// subsequent query stream, including its Karma replacement decisions —
+// plus the restore's device cost and hostile saved values.
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <span>
@@ -20,6 +23,8 @@
 #include "kde/snapshot.h"
 #include "parallel/device.h"
 #include "parallel/device_group.h"
+#include "runtime/catalog.h"
+#include "runtime/topology.h"
 #include "workload/workload.h"
 
 namespace fkde {
@@ -283,6 +288,69 @@ TEST(SnapshotRoundTrip, GroupShardLayoutReproducedVerbatim) {
   }
 }
 
+// A rebuild writes Karma scores for the live rows only. A migration that
+// grows a shard before the next Karma pass must not let a capture read
+// the rows the shard gained: the capture restarts the stale scores, as
+// the next pass would. An original and its restored twin run the same
+// estimates across a migration and then save the same bytes; under
+// HAZARD_STRICT the checker also sees no read of an unwritten row.
+TEST(SnapshotRoundTrip, CaptureAfterMigrationMatchesTheOriginal) {
+  const Table table = MakeTable(6000, 3, 19);
+  DeviceGroup group(ParseDeviceTopology("cpu+gpu").MoveValueOrDie());
+  KdeConfig config = SmallConfig();
+  config.sample_size = 512;
+  auto original = KdeSelectivityEstimator::Create(
+                      KdeSelectivityEstimator::Mode::kAdaptive, &group,
+                      &table, config)
+                      .MoveValueOrDie();
+  DeviceGroup target(ParseDeviceTopology("cpu+gpu").MoveValueOrDie());
+  auto restored =
+      RestoreModel(SnapshotModel(original.get()).MoveValueOrDie(), &target,
+                   &table)
+          .MoveValueOrDie();
+
+  const DeviceSample* sample = original->engine()->sample();
+  const std::uint64_t epoch = sample->migration_epoch();
+  for (const Query& q : MakeQueries(table, 200, 41)) {
+    const double a = original->EstimateSelectivity(q.box);
+    const double b = restored->EstimateSelectivity(q.box);
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(double)), 0);
+    if (sample->migration_epoch() != epoch) break;
+  }
+  ASSERT_NE(sample->migration_epoch(), epoch) << "no migration happened";
+  EXPECT_EQ(SnapshotModel(restored.get()).MoveValueOrDie(),
+            SnapshotModel(original.get()).MoveValueOrDie());
+}
+
+// A restore installs the saved state once: no kernel launch (the engine
+// starts at the saved bandwidth, with no Scott pass) and, to the device,
+// exactly the sample (as floats), the bandwidth and the Karma scores, one
+// transfer each (no zero upload ahead of the scores).
+TEST(SnapshotRoundTrip, RestoreLaunchesNothingAndUploadsTheStateOnce) {
+  const Table table = MakeTable();
+  Device device(DeviceProfile::OpenClCpu());
+  auto original = MakeAdaptive(&device, &table);
+  for (const Query& q : MakeQueries(table, 30, 7)) {
+    (void)original->EstimateSelectivity(q.box);
+    original->ObserveTrueSelectivity(q.box, q.selectivity);
+  }
+  const std::vector<std::uint8_t> blob =
+      SnapshotModel(original.get()).MoveValueOrDie();
+  const ModelSnapshotHeader header =
+      ReadModelSnapshotHeader(blob).MoveValueOrDie();
+
+  Device target(DeviceProfile::OpenClCpu());
+  auto restored = RestoreModel(blob, &target, &table).MoveValueOrDie();
+  const TransferLedger& ledger = target.ledger();
+  EXPECT_EQ(ledger.kernel_launches, 0u);
+  EXPECT_EQ(ledger.bytes_to_device,
+            header.rows * header.dims * sizeof(float) +
+                header.dims * sizeof(double) + header.rows * sizeof(double));
+  EXPECT_EQ(ledger.transfers_to_device, 3u);
+  EXPECT_EQ(ledger.bytes_to_host, 0u);
+  EXPECT_EQ(restored->bandwidth(), original->bandwidth());
+}
+
 // ---------------------------------------------------------------------------
 // Codec v2: v1 read compatibility, corruption, and hostile counts.
 
@@ -514,6 +582,83 @@ TEST(SnapshotCodec, OversizedCountsReturnInvalidArgument) {
     EXPECT_GT(seen[field], 0) << field << " never crafted";
   }
   EXPECT_GT(crafted, 0u);
+}
+
+// Removes the last element of the 8-byte array whose count sits at
+// `offset`, keeping the rest of the layout intact.
+std::vector<std::uint8_t> DropLastElement(const std::vector<std::uint8_t>& blob,
+                                          std::size_t offset) {
+  const std::uint64_t count = U64At(blob, offset);
+  EXPECT_GT(count, 0u);
+  std::vector<std::uint8_t> out = blob;
+  const std::size_t last = offset + 8 + (count - 1) * 8;
+  out.erase(out.begin() + static_cast<std::ptrdiff_t>(last),
+            out.begin() + static_cast<std::ptrdiff_t>(last + 8));
+  PutU64(&out, offset, count - 1);
+  return out;
+}
+
+// Checksum-valid blobs whose saved values parse but cannot be installed: a
+// bandwidth entry that is not positive and finite, a bandwidth of the
+// wrong arity, a Karma array of the wrong arity. The engine's constructor
+// takes the saved bandwidth, so the decode must refuse these first:
+// RestoreModel and RegisterFromSnapshot return InvalidArgument, and
+// nothing aborts.
+TEST(SnapshotCodec, HostileSavedStateReturnsInvalidArgument) {
+  const Table table = MakeTable();
+  Device device(DeviceProfile::OpenClCpu());
+  auto model = MakeAdaptive(&device, &table);
+  for (const Query& q : MakeQueries(table, 30, 5)) {
+    (void)model->EstimateSelectivity(q.box);
+    model->ObserveTrueSelectivity(q.box, q.selectivity);
+  }
+  const std::vector<std::uint8_t> blob =
+      SnapshotModel(model.get()).MoveValueOrDie();
+  const LayoutCursor layout(blob);
+  const std::size_t bandwidth = layout.offsets().at("bandwidth");
+  const std::size_t karma = layout.offsets().at("karma");
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases;
+  for (const double h : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    std::vector<std::uint8_t> hostile = blob;
+    PutU64(&hostile, bandwidth + 8, std::bit_cast<std::uint64_t>(h));
+    cases.emplace_back("bandwidth entry " + std::to_string(h), hostile);
+  }
+  cases.emplace_back("bandwidth arity", DropLastElement(blob, bandwidth));
+  cases.emplace_back("karma arity", DropLastElement(blob, karma));
+
+  auto group = BuildDeviceGroup("cpu").MoveValueOrDie();
+  ModelCatalog catalog(group.get());
+  for (auto& [name, hostile] : cases) {
+    SCOPED_TRACE(name);
+    SealAsV1(&hostile);
+    Device target(DeviceProfile::OpenClCpu());
+    auto restored = RestoreModel(hostile, &target, &table);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << restored.status().ToString();
+
+    ModelSpec spec;
+    spec.config = SmallConfig();
+    spec.table = &table;
+    const ModelKey key{name, {}};
+    const Status registered =
+        catalog.RegisterFromSnapshot(key, std::move(spec), hostile);
+    EXPECT_TRUE(registered.IsInvalidArgument()) << registered.ToString();
+    EXPECT_TRUE(catalog.StatsFor(key).status().IsNotFound());
+  }
+  // The untouched blob, sealed the same way, still registers and serves.
+  std::vector<std::uint8_t> intact = blob;
+  SealAsV1(&intact);
+  ModelSpec spec;
+  spec.config = SmallConfig();
+  spec.table = &table;
+  const ModelKey key{"intact", {}};
+  ASSERT_TRUE(catalog.RegisterFromSnapshot(key, std::move(spec), intact).ok());
+  const Query probe = MakeQueries(table, 1, 3)[0];
+  EXPECT_EQ(catalog.Estimate(key, probe.box).MoveValueOrDie(),
+            model->EstimateSelectivity(probe.box));
 }
 
 }  // namespace

@@ -218,6 +218,51 @@ TEST(ModelCatalog, ServingScaleSharedIsolatedAndEvictedRunsMatchBitwise) {
   EXPECT_GT(stats.faults, 0u);
 }
 
+// Parking on a sharded group: a gpu+gpu catalog under a budget of about
+// 2.5 models evicts and faults back without moving a bit against an
+// unconstrained one. A model left parked (evicted after its last query,
+// never faulted back) saves exactly the bytes of its never-evicted twin:
+// the parked state is the model's, shard layout and rebalancer rates
+// included. Restore used to run a Scott pass that moved every shard's
+// modeled clock, so this path has its own pin.
+TEST(ModelCatalog, ShardedParkingStaysBitwise) {
+  Fleet fleet(8);
+  auto free_group = BuildDeviceGroup("gpu+gpu").MoveValueOrDie();
+  ModelCatalog free_catalog(free_group.get());
+  fleet.RegisterAll(&free_catalog);
+  const std::vector<std::vector<double>> unconstrained =
+      fleet.Serve(&free_catalog);
+  std::size_t model_bytes = 0;
+  for (const ModelKey& key : fleet.keys) {
+    model_bytes = std::max(
+        model_bytes, free_catalog.StatsFor(key).MoveValueOrDie().device_bytes);
+  }
+
+  auto tight_group = BuildDeviceGroup("gpu+gpu").MoveValueOrDie();
+  CatalogOptions options;
+  options.device_budget_bytes = model_bytes * 5 / 2;
+  ModelCatalog tight(tight_group.get(), options);
+  fleet.RegisterAll(&tight);
+  const std::vector<std::vector<double>> constrained = fleet.Serve(&tight);
+  for (std::size_t m = 0; m < 8; ++m) {
+    EXPECT_TRUE(SameBits(constrained[m], unconstrained[m])) << "model " << m;
+  }
+  const CatalogStats stats = tight.Stats();
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.faults, 0u);
+
+  std::size_t parked = 0;
+  for (const ModelKey& key : fleet.keys) {
+    if (tight.StatsFor(key).MoveValueOrDie().resident) continue;
+    ++parked;
+    EXPECT_EQ(tight.SaveSnapshot(key).MoveValueOrDie(),
+              free_catalog.SaveSnapshot(key).MoveValueOrDie())
+        << key.ToString();
+    EXPECT_FALSE(tight.StatsFor(key).MoveValueOrDie().resident);
+  }
+  EXPECT_GT(parked, 0u);
+}
+
 TEST(ModelCatalog, LruOrderAndPinning) {
   Fleet fleet(3);
   auto group = BuildDeviceGroup("cpu").MoveValueOrDie();
