@@ -5,6 +5,40 @@
 
 namespace fkde {
 
+namespace {
+
+// A group producer (the `RowGroups` launch form) writes one sum per group
+// and segment. When the shard is a single group those are the segment
+// sums themselves and go straight into the output, with no reduction
+// after them; otherwise they go to pooled scratch, and a segmented
+// reduction over it runs levels 2 and up of the tree into the output.
+
+/// The group-sum scratch of `groups`, or null when the producer writes
+/// the output itself.
+ScratchBuffer AcquireGroupSums(Device* device, RowGroups groups) {
+  if (groups.groups() == 1) return nullptr;
+  return device->AcquireScratch(groups.segments * groups.groups());
+}
+
+/// The producer's group-sum accessor: `group_sums` (leased to the
+/// command) when there is one, else the `groups.segments` sums of `out`.
+Out<double> GroupSumsOut(const ScratchBuffer& group_sums, RowGroups groups,
+                         DeviceBuffer<double>* out) {
+  if (group_sums == nullptr) return Out(*out, 0, groups.segments);
+  return Out(group_sums, 0, groups.segments * groups.groups());
+}
+
+/// Levels 2 and up: folds `group_sums` into `out`; nothing to do when the
+/// producer wrote `out` itself.
+void ReduceGroups(CommandQueue* queue, const ScratchBuffer& group_sums,
+                  RowGroups groups, DeviceBuffer<double>* out) {
+  if (group_sums == nullptr) return;
+  EnqueueReduceSumSegments(queue, group_sums, 0, groups.groups(),
+                           groups.segments, out);
+}
+
+}  // namespace
+
 KdeEngine::KdeEngine(DeviceSample* sample, KernelType kernel,
                      std::span<const double> bandwidth)
     : sample_(sample), kernel_(kernel) {
@@ -180,14 +214,14 @@ std::vector<double> KdeEngine::ComputeScottBandwidth() {
   const std::size_t s = sample_size();
   const std::size_t d = dims();
 
-  // Per shard: one fused kernel fills 2d segments — x then x^2 per
-  // dimension — and one segmented reduction yields the shard's 2d sums in
-  // a single read-back; all shards run concurrently on their own queues
-  // and the per-dimension moments fold on the host (sums over shards are
-  // exact). sigma^2 = E[x^2] - E[x]^2 per dimension (Section 5.2). On one
-  // shard this is the pre-sharding 2-launch sequence: the launch count is
-  // independent of d.
-  std::vector<ScratchBuffer> moments(shards_.size());
+  // Per shard: one group producer folds x and x^2 of every dimension into
+  // 2d segments of group sums — the first reduction level — and one
+  // segmented reduction over them yields the shard's 2d sums in a single
+  // read-back (on a shard of one group the producer writes the sums
+  // itself); all shards run concurrently on their own queues and the
+  // per-dimension moments fold on the host (sums over shards are exact).
+  // sigma^2 = E[x^2] - E[x]^2 per dimension (Section 5.2). The launch
+  // count is independent of d.
   std::vector<ScratchBuffer> sums(shards_.size());
   std::vector<std::vector<double>> host_sums(shards_.size());
   std::vector<Event> done(shards_.size());
@@ -196,22 +230,22 @@ std::vector<double> KdeEngine::ComputeScottBandwidth() {
     const std::size_t rows = sample_->shard_size(si);
     if (rows == 0) continue;
     CommandQueue* queue = sh.device->default_queue();
-    moments[si] = sh.device->AcquireScratch(2 * d * rows);
+    const RowGroups groups{rows, 2 * d};
     sums[si] = sh.device->AcquireScratch(2 * d);
+    const ScratchBuffer group_sums = AcquireGroupSums(sh.device, groups);
     host_sums[si].resize(2 * d);
-    // Only the sample is declared: kb::Moments reads raw sample values,
-    // and the bandwidth it derives is not initialized yet.
+    // Only the sample is declared: kb::MomentsGroups reads raw sample
+    // values, and the bandwidth it derives is not initialized yet.
     const kb::ShardKernelView view = KernelView(si);
     queue->EnqueueLaunch(
-        "scott_moments", rows, 2.0 * static_cast<double>(d),
+        "scott_moments", groups, 2.0 * static_cast<double>(d),
         std::tuple(In(sample_->shard_buffer(si), 0, rows, sample_->stride(), d),
-                   Out(moments[si], 0, 2 * d * rows)),
+                   GroupSumsOut(group_sums, groups, sums[si].get())),
         [view, rows](std::size_t begin, std::size_t end, const float* x,
                      double* out) {
-          kb::Moments(view.Over(x), out, rows, begin, end);
+          kb::MomentsGroups(view.Over(x), out, rows, begin, end);
         });
-    EnqueueReduceSumSegments(queue, *moments[si], 0, rows, 2 * d,
-                             sums[si].get());
+    ReduceGroups(queue, group_sums, groups, sums[si].get());
     done[si] = queue->EnqueueCopyToHost(*sums[si], 0, 2 * d,
                                         host_sums[si].data());
   }
@@ -292,12 +326,14 @@ std::size_t KdeEngine::BeginEstimateSlot(const Box& box) {
   StageBounds(box, staging);
 
   // Figure 3, steps 1-4, per shard and concurrently across shards: bounds
-  // upload, one work item per sample point computing the closed-form
-  // contribution (13) as a product over dimensions (with the variable-KDE
-  // extension, point i smooths with h_j * scales[i]), the binary-tree
-  // reduction to one scalar, and the scalar read-back. Each shard's chain
-  // is enqueued back-to-back on its own in-order queue into slot-private
-  // buffers; `FinishEstimateSlot` waits on the read-backs and folds.
+  // upload, the closed-form contribution (13) of every sample point as a
+  // product over dimensions (with the variable-KDE extension, point i
+  // smooths with h_j * scales[i]), the binary-tree reduction to one
+  // scalar, and the scalar read-back. One work item per 256-row group
+  // computes its rows and adds them into a group sum, so the producer is
+  // also the tree's first level. Each shard's chain is enqueued
+  // back-to-back on its own in-order queue into slot-private buffers;
+  // `FinishEstimateSlot` waits on the read-backs and folds.
   // A free slot's previous query was delivered before it was released,
   // so its upload completed; any of its later commands still queued
   // (gradient, Karma) are ordered before ours by the in-order queue.
@@ -311,19 +347,22 @@ std::size_t KdeEngine::BeginEstimateSlot(const Box& box) {
     CommandQueue* queue = sh.device->default_queue();
     queue->EnqueueCopyToDevice(staging, 2 * d, &sl.bounds_dev);
     const kb::ShardKernelView view = KernelView(si);
+    const RowGroups groups{rows, 1};
+    const ScratchBuffer group_sums = AcquireGroupSums(sh.device, groups);
     queue->EnqueueLaunch(
-        "kde_contributions", rows, static_cast<double>(d),
+        "kde_contributions", groups, static_cast<double>(d),
         std::tuple_cat(ShardReads(si),
                        std::tuple(In(sl.bounds_dev, 0, 2 * d),
-                                  Out(sl.contributions, 0, rows))),
-        [view](std::size_t begin, std::size_t end, const float* x,
-               const double* h, const float* scales, const double* bounds,
-               double* contrib) {
-          kb::FusedContribution(view.Over(x, h, scales), bounds, contrib,
-                                begin, end);
+                                  Out(sl.contributions, 0, rows),
+                                  GroupSumsOut(group_sums, groups,
+                                               &sl.est_sum))),
+        [view, rows](std::size_t begin, std::size_t end, const float* x,
+                     const double* h, const float* scales,
+                     const double* bounds, double* contrib, double* sums) {
+          kb::ContributionGroups(view.Over(x, h, scales), bounds, contrib,
+                                 sums, rows, begin, end);
         });
-    EnqueueReduceSumSegments(queue, sl.contributions, 0, rows, 1,
-                             &sl.est_sum);
+    ReduceGroups(queue, group_sums, groups, &sl.est_sum);
     sl.est_done = queue->EnqueueCopyToHost(sl.est_sum, 0, 1, &sl.est_staging);
   }
   if (alone) ObservePass(busy_before);
@@ -344,38 +383,50 @@ double KdeEngine::FinishEstimateSlot(std::size_t slot) {
   return last_estimate_;
 }
 
-void KdeEngine::EnqueueGradientPartialsKernel(std::size_t shard,
-                                              std::size_t slot) {
+void KdeEngine::EnqueueGradientPass(std::size_t shard, std::size_t slot,
+                                    bool with_estimate) {
   EngineShard& sh = shards_[shard];
   ShardSlot& sl = sh.slots[slot];
   const std::size_t rows = sample_->shard_size(shard);
   const std::size_t d = dims();
-  // Only slots that run a gradient pass hold partials: estimate-only
-  // models never allocate them. Capacity-sized, like every slot buffer.
-  if (sl.grad_partials.empty()) {
-    sl.grad_partials = sh.device->CreateBuffer<double>(d * sample_->capacity());
-  }
+  CommandQueue* queue = sh.device->default_queue();
   const kb::ShardKernelView view = KernelView(shard);
+  const RowGroups grad_groups{rows, d};
+  const RowGroups est_groups{rows, 1};
+  const ScratchBuffer grad_sums = AcquireGroupSums(sh.device, grad_groups);
+  const ScratchBuffer est_sums =
+      with_estimate ? AcquireGroupSums(sh.device, est_groups) : nullptr;
 
-  // Fused kernel: per sample point, the per-dimension CDF differences and
-  // their h-derivatives give both the contribution (13) and, via
+  // Fused producer: per sample point, the per-dimension CDF differences
+  // and their h-derivatives give both the contribution (13) and, via
   // prefix/suffix products (avoiding division by near-zero factors), the
-  // per-dimension gradient terms of eq. (17). Charged at its full 3d
-  // ops/item; whether that cost reaches the host depends on who waits —
-  // the synchronous path blocks on it, the enqueued path lets it run
-  // while the database executes the query (Section 5.5).
-  sh.device->default_queue()->EnqueueLaunch(
-      "kde_contributions_grad", rows, 3.0 * static_cast<double>(d),
-      std::tuple_cat(ShardReads(shard),
-                     std::tuple(In(sl.bounds_dev, 0, 2 * d),
-                                Out(sl.contributions, 0, rows),
-                                Out(sl.grad_partials, 0, d * rows))),
+  // per-dimension gradient terms of eq. (17). Each work item adds its
+  // group's terms into one group sum per dimension — and, for a pass
+  // that reduces the estimate too, its contributions into another — so
+  // the partials never leave a stack tile. Charged at its full 3d ops per
+  // row plus the reduction level it absorbs; whether that cost reaches
+  // the host depends on who waits — the synchronous path blocks on it,
+  // the enqueued path lets it run while the database executes the query
+  // (Section 5.5).
+  queue->EnqueueLaunch(
+      "kde_contributions_grad", RowGroups{rows, d + (with_estimate ? 1 : 0)},
+      3.0 * static_cast<double>(d),
+      std::tuple_cat(
+          ShardReads(shard),
+          std::tuple(In(sl.bounds_dev, 0, 2 * d),
+                     Out(sl.contributions, 0, rows),
+                     GroupSumsOut(grad_sums, grad_groups, &sl.grad_sums),
+                     with_estimate
+                         ? GroupSumsOut(est_sums, est_groups, &sl.est_sum)
+                         : Out<double>())),
       [view, rows](std::size_t begin, std::size_t end, const float* x,
-                   const double* h, const float* scales,
-                   const double* bounds, double* contrib, double* partials) {
-        kb::FusedContributionGrad(view.Over(x, h, scales), bounds, contrib,
-                                  partials, rows, begin, end);
+                   const double* h, const float* scales, const double* bounds,
+                   double* contrib, double* grad, double* est) {
+        kb::ContributionGradGroups(view.Over(x, h, scales), bounds, contrib,
+                                   grad, est, rows, begin, end);
       });
+  ReduceGroups(queue, est_sums, est_groups, &sl.est_sum);
+  ReduceGroups(queue, grad_sums, grad_groups, &sl.grad_sums);
 }
 
 double KdeEngine::EstimateWithGradient(const Box& box,
@@ -388,11 +439,11 @@ double KdeEngine::EstimateWithGradient(const Box& box,
   SnapshotBusy(&busy_before);
   const std::size_t slot = AcquireSlot();
 
-  // Per shard: bounds upload, the fused contribution+partials kernel, the
-  // estimate reduction (one segment) with its scalar read-back, then ONE
-  // segmented reduction over the d dim-major partial segments with its
-  // d-double read-back — all enqueued on the shard's queue, waited
-  // together. This path is on the critical path and hides nothing.
+  // Per shard: bounds upload, the fused contribution+gradient producer
+  // with the reductions of its estimate and its d gradient group sums,
+  // and the scalar and d-double read-backs — all enqueued on the shard's
+  // queue, waited together. This path is on the critical path and hides
+  // nothing.
   std::vector<Event> done(shards_.size());
   for (std::size_t si = 0; si < shards_.size(); ++si) {
     EngineShard& sh = shards_[si];
@@ -403,12 +454,8 @@ double KdeEngine::EstimateWithGradient(const Box& box,
     if (rows == 0) continue;
     CommandQueue* queue = sh.device->default_queue();
     queue->EnqueueCopyToDevice(staging, 2 * d, &sl.bounds_dev);
-    EnqueueGradientPartialsKernel(si, slot);
-    EnqueueReduceSumSegments(queue, sl.contributions, 0, rows, 1,
-                             &sl.est_sum);
+    EnqueueGradientPass(si, slot, /*with_estimate=*/true);
     queue->EnqueueCopyToHost(sl.est_sum, 0, 1, &sl.est_staging);
-    EnqueueReduceSumSegments(queue, sl.grad_partials, 0, rows, d,
-                             &sl.grad_sums);
     done[si] =
         queue->EnqueueCopyToHost(sl.grad_sums, 0, d, sl.grad_staging.data());
   }
@@ -433,7 +480,8 @@ double KdeEngine::EstimateWithGradient(const Box& box,
 void KdeEngine::EnqueueGradientSlot(std::size_t slot) {
   const std::size_t d = dims();
   // Section 5.5, steps 5-6, for the bounds resident in `slot`: per
-  // shard, partials kernel, one segmented reduction, d-double read-back —
+  // shard, the gradient producer, the reduction of its d segments of
+  // group sums, and the d-double read-back —
   // all enqueued, none waited for. Each shard's in-order queue sequences
   // its chain; the read-back events are the collection handles. A
   // still-pending previous gradient on the same slot is simply
@@ -448,10 +496,8 @@ void KdeEngine::EnqueueGradientSlot(std::size_t slot) {
       std::fill(sl.grad_staging.begin(), sl.grad_staging.end(), 0.0);
       continue;
     }
-    EnqueueGradientPartialsKernel(si, slot);
+    EnqueueGradientPass(si, slot, /*with_estimate=*/false);
     CommandQueue* queue = sh.device->default_queue();
-    EnqueueReduceSumSegments(queue, sl.grad_partials, 0, rows, d,
-                             &sl.grad_sums);
     sl.pending_gradient =
         queue->EnqueueCopyToHost(sl.grad_sums, 0, d, sl.grad_staging.data());
   }
@@ -834,8 +880,7 @@ std::size_t KdeEngine::SlotBytes() const {
   for (const EngineShard& sh : shards_) {
     for (const ShardSlot& sl : sh.slots) {
       doubles += sl.bounds_dev.size() + sl.contributions.size() +
-                 sl.grad_partials.size() + sl.grad_sums.size() +
-                 sl.est_sum.size();
+                 sl.grad_sums.size() + sl.est_sum.size();
     }
   }
   return doubles * sizeof(double);

@@ -7,7 +7,11 @@
 ///
 ///  * the range-selectivity estimate p̂_H(Ω) — eq. (2) with the per-point
 ///    closed form eq. (13), a parallel map over sample points followed by
-///    the binary-tree reduction (paper Section 5.4, Figure 3 steps 1-4);
+///    the binary-tree reduction (paper Section 5.4, Figure 3 steps 1-4).
+///    The map is a group producer: one work item per 256-row group
+///    computes its rows and adds them into a group sum, which is the
+///    tree's first level, so the separate reduction starts at level 2 (and
+///    a shard of at most 256 rows needs none);
 ///  * the estimator gradient ∂p̂_H(Ω)/∂h_i — eq. (15)-(17), either
 ///    synchronously or ENQUEUED on the device's command queue so it runs
 ///    while the database executes the query (Section 5.5, steps 5-6:
@@ -17,6 +21,8 @@
 ///
 /// Per-point contributions are retained on the device after each estimate
 /// so the Karma maintenance pass can reuse them (Section 5.6, step 9).
+/// Per-point gradient partials are not: the gradient producer folds them
+/// into group sums inside the work item that computes them.
 ///
 /// ## Sharded execution
 ///
@@ -205,10 +211,11 @@ class KdeEngine {
 
   /// Enqueues the Section 5.5 gradient pass (steps 5-6) for the bounds
   /// resident in slot `slot` without blocking: per shard, the fused
-  /// partials kernel, ONE segmented reduction over the d dim-major
-  /// partial segments, and a d-double read-back. The devices crunch while
-  /// the database executes the query. A still-pending earlier gradient
-  /// on the slot is superseded. Collect with `CollectGradientSlot`.
+  /// gradient producer, ONE segmented reduction over its d dim-major
+  /// segments of group sums, and a d-double read-back. The devices
+  /// crunch while the database executes the query. A still-pending
+  /// earlier gradient on the slot is superseded. Collect with
+  /// `CollectGradientSlot`.
   void EnqueueGradientSlot(std::size_t slot);
 
   /// Waits slot `slot`'s pending gradient and folds ∂p̂/∂h into
@@ -274,23 +281,21 @@ class KdeEngine {
   std::size_t ModelBytes() const;
 
   /// Device bytes held by the slot ring across all shards: per slot the
-  /// bounds, contributions, reduced sums and, once the slot ran a
-  /// gradient pass, its gradient partials.
+  /// bounds, contributions and reduced sums — the same for a slot that
+  /// ran a gradient pass as for an estimate-only one. Group sums live in
+  /// pooled scratch, not in the slot.
   std::size_t SlotBytes() const;
 
  private:
   /// One in-flight query's device state on one shard: the bounds it
-  /// queried, its retained contributions/partials and the read-back
-  /// staging its enqueued chain writes into. Buffers are capacity-sized
-  /// so shard growth under rebalancing never reallocates, and slots live
-  /// in a deque so ring growth never moves them (enqueued commands
-  /// capture raw device and staging pointers).
+  /// queried, its retained contributions, its reduced sums and the
+  /// read-back staging its enqueued chain writes into. Buffers are
+  /// capacity-sized so shard growth under rebalancing never reallocates,
+  /// and slots live in a deque so ring growth never moves them (enqueued
+  /// commands capture raw device and staging pointers).
   struct ShardSlot {
     DeviceBuffer<double> bounds_dev;     // 2d doubles: l_0..l_d-1,u_0..
     DeviceBuffer<double> contributions;  // capacity doubles.
-    /// d*capacity doubles, dim-major; allocated by the slot's first
-    /// gradient pass, so estimate-only models never hold it.
-    DeviceBuffer<double> grad_partials;
     DeviceBuffer<double> grad_sums;      // d reduced gradient sums.
     DeviceBuffer<double> est_sum;        // 1 reduced contribution sum.
     std::vector<double> grad_staging;    // d-double read-back staging.
@@ -350,10 +355,13 @@ class KdeEngine {
   std::tuple<In<float>, In<double>, InIf<float>> ShardReads(
       std::size_t shard) const;
 
-  /// Enqueues the fused gradient-partials kernel on shard `shard` for the
-  /// bounds currently resident in slot `slot`'s bounds_dev (shared by
-  /// EstimateWithGradient and EnqueueGradientSlot).
-  void EnqueueGradientPartialsKernel(std::size_t shard, std::size_t slot);
+  /// Enqueues, on shard `shard`, the fused contribution+gradient group
+  /// producer for the bounds resident in slot `slot`'s bounds_dev and the
+  /// reduction of its gradient group sums into the slot's grad_sums —
+  /// and, `with_estimate`, of its contribution group sums into est_sum
+  /// (shared by EstimateWithGradient and EnqueueGradientSlot).
+  void EnqueueGradientPass(std::size_t shard, std::size_t slot,
+                           bool with_estimate);
 
   /// Queries per scratch tile for an m-query batch over `shard_rows`
   /// sample rows: bounded so the tile contribution/partial buffers stay

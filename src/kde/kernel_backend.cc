@@ -1,5 +1,6 @@
 #include "kde/kernel_backend.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <vector>
@@ -61,8 +62,8 @@ void ScalarContribution(const ShardKernelView& v, const double* qb,
 
 void ScalarContributionGrad(const ShardKernelView& v, const double* qb,
                             double* contrib, double* partials,
-                            std::size_t pitch, std::size_t begin,
-                            std::size_t end) {
+                            std::size_t pitch, std::size_t origin,
+                            std::size_t begin, std::size_t end) {
   const std::size_t d = v.d;
   kernel::HoistedFactors f[kMaxDims];
   if (v.scales == nullptr) {
@@ -101,7 +102,7 @@ void ScalarContributionGrad(const ShardKernelView& v, const double* qb,
     contrib[i] = suffix[0];
     double prefix = 1.0;
     for (std::size_t j = 0; j < d; ++j) {
-      partials[j * pitch + i] = prefix * dcdf[j] * suffix[j + 1];
+      partials[j * pitch + (i - origin)] = prefix * dcdf[j] * suffix[j + 1];
       prefix *= cdf[j];
     }
   }
@@ -292,7 +293,8 @@ __attribute__((target("avx2,fma"))) void ContributionFloatAvx2(
 /// registers for cdf/dcdf, float prefix/suffix products, widened stores.
 __attribute__((target("avx2,fma"))) void ContributionGradFloatAvx2(
     const ShardKernelView& v, const double* qb, double* contrib,
-    double* partials, std::size_t pitch, std::size_t begin, std::size_t end) {
+    double* partials, std::size_t pitch, std::size_t origin,
+    std::size_t begin, std::size_t end) {
   const std::size_t d = v.d;
   const std::size_t stride = v.stride;
   const bool gaussian = v.kernel == KernelType::kGaussian;
@@ -352,7 +354,7 @@ __attribute__((target("avx2,fma"))) void ContributionGradFloatAvx2(
     for (std::size_t j = 0; j < d; ++j) {
       StoreWide8(
           _mm256_mul_ps(_mm256_mul_ps(prefix, dcdf[j]), suffix[j + 1]),
-          partials + j * pitch + i);
+          partials + j * pitch + (i - origin));
       prefix = _mm256_mul_ps(prefix, cdf[j]);
     }
   }
@@ -383,7 +385,7 @@ __attribute__((target("avx2,fma"))) void ContributionGradFloatAvx2(
     contrib[i] = static_cast<double>(suffix_s[0]);
     float prefix = 1.0f;
     for (std::size_t j = 0; j < d; ++j) {
-      partials[j * pitch + i] =
+      partials[j * pitch + (i - origin)] =
           static_cast<double>(prefix * dcdf_s[j] * suffix_s[j + 1]);
       prefix *= cdf_s[j];
     }
@@ -501,8 +503,8 @@ __attribute__((target("avx2"))) void ContributionEpaDoubleAvx2(
 /// rule factor s_i last. The remainder tail runs the scalar body.
 __attribute__((target("avx2"))) void ContributionGradEpaDoubleAvx2(
     const ShardKernelView& v, const double* qb, double* contrib,
-    double* partials, std::size_t pitch, std::size_t begin,
-    std::size_t end) {
+    double* partials, std::size_t pitch, std::size_t origin,
+    std::size_t begin, std::size_t end) {
   const std::size_t d = v.d;
   const std::size_t stride = v.stride;
   // Epanechnikov's two hoisted reciprocals (inv_cdf, inv_dh) are one 1/h.
@@ -539,13 +541,13 @@ __attribute__((target("avx2"))) void ContributionGradEpaDoubleAvx2(
     __m256d prefix = one;
     for (std::size_t j = 0; j < d; ++j) {
       _mm256_storeu_pd(
-          partials + j * pitch + i,
+          partials + j * pitch + (i - origin),
           _mm256_mul_pd(_mm256_mul_pd(prefix, dcdf[j]), suffix[j + 1]));
       prefix = _mm256_mul_pd(prefix, cdf[j]);
     }
   }
   if (i < end) {
-    ScalarContributionGrad(v, qb, contrib, partials, pitch, i, end);
+    ScalarContributionGrad(v, qb, contrib, partials, pitch, origin, i, end);
   }
 }
 
@@ -574,22 +576,24 @@ FKDE_HOT void FusedContribution(const ShardKernelView& view,
 FKDE_HOT void FusedContributionGrad(const ShardKernelView& view,
                                     const double* qb, double* contrib,
                                     double* partials, std::size_t row_pitch,
-                                    std::size_t begin, std::size_t end) {
+                                    std::size_t begin, std::size_t end,
+                                    std::size_t partials_origin) {
 #if defined(FKDE_KB_X86)
   if (view.backend == KernelBackend::kSimd && CpuSupportsSimd()) {
     if (view.precision == KernelPrecision::kFloat) {
       ContributionGradFloatAvx2(view, qb, contrib, partials, row_pitch,
-                                begin, end);
+                                partials_origin, begin, end);
       return;
     }
     if (view.kernel == KernelType::kEpanechnikov) {
       ContributionGradEpaDoubleAvx2(view, qb, contrib, partials, row_pitch,
-                                    begin, end);
+                                    partials_origin, begin, end);
       return;
     }
   }
 #endif
-  ScalarContributionGrad(view, qb, contrib, partials, row_pitch, begin, end);
+  ScalarContributionGrad(view, qb, contrib, partials, row_pitch,
+                         partials_origin, begin, end);
 }
 
 /// Dimension outside, point inside: every load and store is a sequential
@@ -606,6 +610,85 @@ FKDE_HOT void Moments(const ShardKernelView& view, double* out,
       const double val = static_cast<double>(strip[i]);
       first[i] = val;
       second[i] = val * val;
+    }
+  }
+}
+
+namespace {
+
+/// Rows of the gradient partials tile: a multiple of both lane widths
+/// (8 float, 4 double) that divides the group, so tiling moves no row
+/// between the vector lanes and the scalar tail.
+constexpr std::size_t kGradTileRows = 32;
+static_assert(kReduceGroupSize % kGradTileRows == 0 && kGradTileRows % 8 == 0);
+
+}  // namespace
+
+FKDE_HOT void ContributionGroups(const ShardKernelView& view,
+                                 const double* qb, double* contrib,
+                                 double* group_sums, std::size_t rows,
+                                 std::size_t group_begin,
+                                 std::size_t group_end) {
+  // Group boundaries are multiples of every lane width, so one call over
+  // the whole range splits rows between lanes and tail as per-group calls
+  // would.
+  FusedContribution(view, qb, contrib, group_begin * kReduceGroupSize,
+                    std::min(group_end * kReduceGroupSize, rows));
+  for (std::size_t g = group_begin; g < group_end; ++g) {
+    const std::size_t hi = std::min((g + 1) * kReduceGroupSize, rows);
+    double acc = 0.0;
+    for (std::size_t i = g * kReduceGroupSize; i < hi; ++i) acc += contrib[i];
+    group_sums[g] = acc;
+  }
+}
+
+FKDE_HOT void ContributionGradGroups(const ShardKernelView& view,
+                                     const double* qb, double* contrib,
+                                     double* grad_sums, double* est_sums,
+                                     std::size_t rows,
+                                     std::size_t group_begin,
+                                     std::size_t group_end) {
+  const std::size_t d = view.d;
+  const std::size_t groups = RowGroups{rows}.groups();
+  double tile[kMaxDims * kGradTileRows];
+  double acc[kMaxDims];
+  for (std::size_t g = group_begin; g < group_end; ++g) {
+    const std::size_t lo = g * kReduceGroupSize;
+    const std::size_t hi = std::min(lo + kReduceGroupSize, rows);
+    std::fill(acc, acc + d, 0.0);
+    double est = 0.0;
+    for (std::size_t t = lo; t < hi; t += kGradTileRows) {
+      const std::size_t n = std::min(kGradTileRows, hi - t);
+      FusedContributionGrad(view, qb, contrib, tile, kGradTileRows, t, t + n,
+                            /*partials_origin=*/t);
+      for (std::size_t j = 0; j < d; ++j) {
+        const double* partials = tile + j * kGradTileRows;
+        for (std::size_t i = 0; i < n; ++i) acc[j] += partials[i];
+      }
+      for (std::size_t i = t; i < t + n; ++i) est += contrib[i];
+    }
+    for (std::size_t j = 0; j < d; ++j) grad_sums[j * groups + g] = acc[j];
+    if (est_sums != nullptr) est_sums[g] = est;
+  }
+}
+
+FKDE_HOT void MomentsGroups(const ShardKernelView& view, double* sums,
+                            std::size_t rows, std::size_t group_begin,
+                            std::size_t group_end) {
+  const std::size_t groups = RowGroups{rows}.groups();
+  for (std::size_t dim = 0; dim < view.d; ++dim) {
+    const float* strip = view.sample + dim * view.stride;
+    for (std::size_t g = group_begin; g < group_end; ++g) {
+      const std::size_t hi = std::min((g + 1) * kReduceGroupSize, rows);
+      double sum = 0.0;
+      double sum_sq = 0.0;
+      for (std::size_t i = g * kReduceGroupSize; i < hi; ++i) {
+        const double val = static_cast<double>(strip[i]);
+        sum += val;
+        sum_sq += val * val;
+      }
+      sums[(2 * dim) * groups + g] = sum;
+      sums[(2 * dim + 1) * groups + g] = sum_sq;
     }
   }
 }

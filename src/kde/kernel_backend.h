@@ -7,8 +7,10 @@
 /// prefix/suffix products), and the Scott moments kernel. All of them
 /// read the sample in its one device layout, dim-major strips
 /// (`sample[j * stride + i]`, see sample.h). This layer provides those
-/// loops in two backends behind one call signature, so the engine's
-/// `EnqueueLaunch` bodies are thin dispatchers:
+/// loops in two backends behind one call signature, plus group entry
+/// points over them that also add each 256-row group into group sums (the
+/// first reduction level), so the engine's `EnqueueLaunch` bodies are
+/// thin dispatchers:
 ///
 ///  * **scalar** — the seed's per-point loops over `kernel::CdfDiff*`.
 ///    With the per-(query, dim) reciprocals hoisted by
@@ -116,19 +118,59 @@ FKDE_HOT void FusedContribution(const ShardKernelView& view,
 
 /// Fused contribution+gradient loop: additionally writes the per-dimension
 /// gradient partial `prefix_j * dcdf_j * suffix_{j+1}` into
-/// `partials[j * row_pitch + i]`. `row_pitch` is the segment pitch of the
-/// downstream segmented reduction (the shard's current row count).
+/// `partials[j * row_pitch + (i - partials_origin)]`. For a whole-shard
+/// partials buffer the origin is 0 and `row_pitch` the segment pitch of
+/// the downstream segmented reduction (the shard's current row count);
+/// for a tile of rows [begin, end) the origin is `begin`, so `partials`
+/// points at the tile itself.
 FKDE_HOT void FusedContributionGrad(const ShardKernelView& view,
                                     const double* qb, double* contrib,
                                     double* partials, std::size_t row_pitch,
-                                    std::size_t begin, std::size_t end);
+                                    std::size_t begin, std::size_t end,
+                                    std::size_t partials_origin = 0);
 
 /// Scott moments loop: writes x into `out[(2j) * rows + i]` and x² into
 /// `out[(2j+1) * rows + i]` for each dimension j. Always double math on
 /// the widened float value (both precisions), so results are
-/// backend-independent.
+/// backend-independent. The engine runs `MomentsGroups`; this loop is its
+/// unfused reference.
 FKDE_HOT void Moments(const ShardKernelView& view, double* out,
                       std::size_t rows, std::size_t begin, std::size_t end);
+
+// Group entry points. Each runs over the row groups [group_begin,
+// group_end) of a shard of `rows` rows — `kReduceGroupSize` rows per
+// group, the last one possibly short — and adds each group's values left
+// to right from 0.0 into one group sum: the order of the first level of
+// the device reduction tree, so a segmented reduction over the group sums
+// (segment size G = ⌈rows / kReduceGroupSize⌉) yields the bits a
+// reduction over the per-row values would.
+
+/// `FusedContribution` over the groups' rows, which it still writes to
+/// `contrib` (Karma reads them), plus each group's contribution sum into
+/// `group_sums[g]`.
+FKDE_HOT void ContributionGroups(const ShardKernelView& view,
+                                 const double* qb, double* contrib,
+                                 double* group_sums, std::size_t rows,
+                                 std::size_t group_begin,
+                                 std::size_t group_end);
+
+/// `FusedContributionGrad` over the groups' rows: contributions into
+/// `contrib`, dimension j's partial sum of group g into
+/// `grad_sums[j * G + g]` and, when `est_sums` is non-null, the
+/// contribution sum into `est_sums[g]`. The partials exist only in a
+/// fixed-size stack tile.
+FKDE_HOT void ContributionGradGroups(const ShardKernelView& view,
+                                     const double* qb, double* contrib,
+                                     double* grad_sums, double* est_sums,
+                                     std::size_t rows,
+                                     std::size_t group_begin,
+                                     std::size_t group_end);
+
+/// The `Moments` values' group sums: Σx of dimension j into
+/// `sums[(2j) * G + g]`, Σx² into `sums[(2j+1) * G + g]`.
+FKDE_HOT void MomentsGroups(const ShardKernelView& view, double* sums,
+                            std::size_t rows, std::size_t group_begin,
+                            std::size_t group_end);
 
 /// Absolute tolerance of the float-precision estimate (mean of s
 /// per-point contributions, each a product of d factors with ≤1e-6

@@ -453,6 +453,9 @@ Result<ModelSnapshotHeader> ParseHeader(Reader* r) {
   if (header.dims == 0 || header.shards == 0) {
     return Status::InvalidArgument("snapshot header fields out of range");
   }
+  if (header.dims > kb::kMaxDims) {
+    return Status::InvalidArgument("snapshot dims beyond the engine limit");
+  }
   return header;
 }
 
@@ -464,10 +467,45 @@ bool AllPositiveFinite(const std::vector<double>& values) {
   });
 }
 
+/// Whether `v` names an enumerator of E, whose last is `last`.
+template <class E>
+bool InRange(E v, E last) {
+  return static_cast<std::uint32_t>(v) <= static_cast<std::uint32_t>(last);
+}
+
+/// Checks the saved configuration: the enums name real kernels and
+/// losses, and the options of every component the body installs pass
+/// that component's own checks (KarmaMaintainer, AdaptiveBandwidth), so
+/// a rebuild never reaches them with options they abort on.
+Status CheckConfig(const ModelBody& b) {
+  const KdeConfig& c = b.config;
+  if (!InRange(c.kernel, KernelType::kEpanechnikov) ||
+      !InRange(c.loss, LossType::kSquaredQ) ||
+      !InRange(c.karma.loss, LossType::kSquaredQ) ||
+      !InRange(c.batch.loss, LossType::kSquaredQ)) {
+    return Status::InvalidArgument("snapshot kernel or loss out of range");
+  }
+  if (b.has_karma &&
+      !(c.karma.k_max > 0.0 && c.karma.threshold < c.karma.k_max)) {
+    return Status::InvalidArgument(
+        "snapshot karma options need 0 < k_max and threshold < k_max");
+  }
+  const AdaptiveOptions& a = c.adaptive;
+  if (b.has_adaptive &&
+      !(a.mini_batch > 0 && a.alpha > 0.0 && a.alpha < 1.0 &&
+        a.lr_min > 0.0 && a.lr_min <= a.lr_max)) {
+    return Status::InvalidArgument(
+        "snapshot adaptive options out of range (mini_batch > 0, "
+        "0 < alpha < 1, 0 < lr_min <= lr_max)");
+  }
+  return Status::OK();
+}
+
 /// Checks a parsed body against its header: every count and value that
 /// does not depend on the restore target, so a rebuild can install the
 /// state without re-checking it (and never reaches an engine check).
 Status CheckBody(const ModelSnapshotHeader& header, const ModelBody& b) {
+  FKDE_RETURN_NOT_OK(CheckConfig(b));
   if (header.rows == 0 || header.rows > header.capacity) {
     return Status::InvalidArgument("snapshot row counts are inconsistent");
   }

@@ -97,13 +97,22 @@ Event CommandQueue::EnqueueLaunch(
     std::function<void(std::size_t, std::size_t)> body,
     std::span<const BufferAccess> accesses,
     std::span<const Event> wait_list) {
-  const double end = device_->BookLaunch(global_size, ops_per_item,
-                                         MaxModeledEnd(wait_list));
+  return EnqueueKernel(kernel_name, global_size, kLaunchGrain,
+                       static_cast<double>(global_size) * ops_per_item,
+                       std::move(body), accesses, wait_list);
+}
+
+Event CommandQueue::EnqueueKernel(
+    const char* kernel_name, std::size_t items, std::size_t grain,
+    double work_units, std::function<void(std::size_t, std::size_t)> body,
+    std::span<const BufferAccess> accesses,
+    std::span<const Event> wait_list) {
+  const double end =
+      device_->BookLaunch(work_units, MaxModeledEnd(wait_list));
   ThreadPool* pool = device_->pool();
-  auto run = [pool, global_size, body = std::move(body)] {
-    if (global_size == 0) return;
-    // Grain keeps per-chunk scheduling cost negligible relative to work.
-    pool->ParallelFor(global_size, 1024, body);
+  auto run = [pool, items, grain, body = std::move(body)] {
+    if (items == 0) return;
+    pool->ParallelFor(items, grain, body);
   };
   return Push(std::move(run), end, CommandKind::kKernel, kernel_name,
               accesses, wait_list);

@@ -151,6 +151,29 @@ struct CommandQueueStats {
   double dispatcher_wait_s = 0.0;    ///< Wall time the queue starved.
 };
 
+/// Work items per thread-pool chunk of a kernel launch: large enough that
+/// per-chunk scheduling cost stays negligible relative to the work.
+inline constexpr std::size_t kLaunchGrain = 1024;
+
+/// Work-group size of the binary-tree reductions, mirroring the OpenCL
+/// implementation: every reduction level, and every group launch below,
+/// folds runs of this many values.
+inline constexpr std::size_t kReduceGroupSize = 256;
+
+/// \brief The work items of a group launch (the `RowGroups` form of
+/// `CommandQueue::EnqueueLaunch`): one per `kReduceGroupSize`-row group of
+/// `rows` rows, the last group possibly short. Each work item adds its
+/// rows into `segments` group sums, one per reduced segment — the first
+/// level of the reduction tree, done by the producer itself.
+struct RowGroups {
+  std::size_t rows = 0;
+  std::size_t segments = 1;
+
+  std::size_t groups() const {
+    return (rows + kReduceGroupSize - 1) / kReduceGroupSize;
+  }
+};
+
 namespace internal {
 
 /// Shared completion state of one enqueued command. Everything except
@@ -273,6 +296,17 @@ class CommandQueue {
                       double ops_per_item, const std::tuple<A...>& accessors,
                       Body body, std::span<const Event> wait_list = {});
 
+  /// Group form of the accessor launch (defined in device.h): the body's
+  /// [begin, end) is a range of `groups.groups()` row groups, not of
+  /// rows. The pool hands out chunks that cover the same rows a row
+  /// launch's chunks would, and the cost model charges `ops_per_row` per
+  /// row plus `kReduceGroupSize` per group and segment — exactly what the
+  /// producer and the reduction level it absorbs cost as two launches.
+  template <typename... A, typename Body>
+  Event EnqueueLaunch(const char* kernel_name, RowGroups groups,
+                      double ops_per_row, const std::tuple<A...>& accessors,
+                      Body body, std::span<const Event> wait_list = {});
+
   /// Enqueues a host->device transfer of `n` elements into `dst` at
   /// element `offset`. `host` must stay valid until the command
   /// completes. Zero-length transfers complete immediately and are
@@ -348,6 +382,23 @@ class CommandQueue {
 
   /// Largest modeled end among the wait-list events.
   static double MaxModeledEnd(std::span<const Event> wait_list);
+
+  /// The lowering every kernel launch shares: books `work_units` on the
+  /// device's modeled clocks and runs `body` over `items` work items in
+  /// pool chunks of `grain`.
+  Event EnqueueKernel(const char* kernel_name, std::size_t items,
+                      std::size_t grain, double work_units,
+                      std::function<void(std::size_t, std::size_t)> body,
+                      std::span<const BufferAccess> accesses,
+                      std::span<const Event> wait_list);
+
+  /// `EnqueueKernel` for the accessor forms (defined in device.h): builds
+  /// the access set and the body's pointers from `accessors`.
+  template <typename... A, typename Body>
+  Event EnqueueAccessorKernel(const char* kernel_name, std::size_t items,
+                              std::size_t grain, double work_units,
+                              const std::tuple<A...>& accessors, Body body,
+                              std::span<const Event> wait_list);
 
   /// Type-erased transfer enqueue shared by every copy: `runs` runs of
   /// `run_bytes`, run k moved from `src + k * src_pitch` to

@@ -104,8 +104,7 @@ DeviceProfile DeviceProfile::SimulatedGtx460() {
   return p;
 }
 
-double Device::BookLaunch(std::size_t global_size, double ops_per_item,
-                          double deps_end_s) {
+double Device::BookLaunch(double work_units, double deps_end_s) {
   std::lock_guard<std::mutex> lock(mu_);
   ledger_.kernel_launches += 1;
   // The host always pays the driver round trip for the submission.
@@ -115,8 +114,7 @@ double Device::BookLaunch(std::size_t global_size, double ops_per_item,
   // and every wait-list dependency has completed on the modeled timeline.
   const double start =
       std::max({device_pos_s_, host_pos_s_, deps_end_s});
-  const double duration = static_cast<double>(global_size) * ops_per_item /
-                          profile_.compute_throughput;
+  const double duration = work_units / profile_.compute_throughput;
   device_pos_s_ = start + duration;
   busy_ticks_ += ToBusyTicks(duration);
   return device_pos_s_;
@@ -325,12 +323,16 @@ double ReduceSum(Device* device, const DeviceBuffer<double>& buffer,
   return result;
 }
 
-Event EnqueueReduceSumSegments(CommandQueue* queue,
-                               const DeviceBuffer<double>& buffer,
-                               std::size_t offset, std::size_t segment_size,
-                               std::size_t num_segments,
-                               DeviceBuffer<double>* out,
-                               std::size_t out_offset) {
+namespace {
+
+/// The segmented reduction over `buffer`, whose first level leases
+/// `lease` when the input is pooled scratch (null otherwise).
+Event EnqueueSegmentLevels(CommandQueue* queue,
+                           const DeviceBuffer<double>& buffer,
+                           const ScratchBuffer* lease, std::size_t offset,
+                           std::size_t segment_size, std::size_t num_segments,
+                           DeviceBuffer<double>* out,
+                           std::size_t out_offset) {
   FKDE_CHECK(out != nullptr);
   FKDE_CHECK_MSG(offset + segment_size * num_segments <= buffer.size(),
                  "ReduceSumSegments range exceeds buffer");
@@ -362,7 +364,10 @@ Event EnqueueReduceSumSegments(CommandQueue* queue,
   ScratchBuffer dst = device->AcquireScratch(num_segments * first_groups);
   ScratchBuffer spare = device->AcquireScratch(
       num_segments * ((first_groups + kGroup - 1) / kGroup));
-  In<double> level_in(buffer, offset, num_segments * segment_size);
+  In<double> level_in =
+      lease != nullptr
+          ? In<double>(*lease, offset, num_segments * segment_size)
+          : In<double>(buffer, offset, num_segments * segment_size);
   std::size_t active = segment_size;
   std::size_t in_stride = segment_size;
   Event last;
@@ -397,6 +402,29 @@ Event EnqueueReduceSumSegments(CommandQueue* queue,
     std::swap(dst, spare);
   }
   return last;
+}
+
+}  // namespace
+
+Event EnqueueReduceSumSegments(CommandQueue* queue,
+                               const DeviceBuffer<double>& buffer,
+                               std::size_t offset, std::size_t segment_size,
+                               std::size_t num_segments,
+                               DeviceBuffer<double>* out,
+                               std::size_t out_offset) {
+  return EnqueueSegmentLevels(queue, buffer, nullptr, offset, segment_size,
+                              num_segments, out, out_offset);
+}
+
+Event EnqueueReduceSumSegments(CommandQueue* queue,
+                               const ScratchBuffer& scratch,
+                               std::size_t offset, std::size_t segment_size,
+                               std::size_t num_segments,
+                               DeviceBuffer<double>* out,
+                               std::size_t out_offset) {
+  FKDE_CHECK(scratch != nullptr);
+  return EnqueueSegmentLevels(queue, *scratch, &scratch, offset,
+                              segment_size, num_segments, out, out_offset);
 }
 
 void ReduceSumSegments(Device* device, const DeviceBuffer<double>& buffer,

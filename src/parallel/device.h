@@ -562,12 +562,12 @@ class Device {
   friend class Event;
   friend class CommandQueue;
 
-  /// Books one kernel launch at enqueue time: charges the submission
-  /// latency to the host clock, schedules the compute on the device clock
-  /// after `deps_end_s` and everything already enqueued, and meters the
-  /// ledger. Returns the command's modeled completion time.
-  double BookLaunch(std::size_t global_size, double ops_per_item,
-                    double deps_end_s);
+  /// Books one kernel launch of `work_units` work units at enqueue time:
+  /// charges the submission latency to the host clock, schedules the
+  /// compute on the device clock after `deps_end_s` and everything
+  /// already enqueued, and meters the ledger. Returns the command's
+  /// modeled completion time.
+  double BookLaunch(double work_units, double deps_end_s);
 
   /// Books one transfer at enqueue time (same rules as BookLaunch).
   double BookTransfer(std::uint64_t bytes, bool to_device, double deps_end_s);
@@ -667,6 +667,36 @@ Event CommandQueue::EnqueueLaunch(const char* kernel_name,
                                   const std::tuple<A...>& accessors,
                                   Body body,
                                   std::span<const Event> wait_list) {
+  return EnqueueAccessorKernel(
+      kernel_name, global_size, kLaunchGrain,
+      static_cast<double>(global_size) * ops_per_item, accessors,
+      std::move(body), wait_list);
+}
+
+template <typename... A, typename Body>
+Event CommandQueue::EnqueueLaunch(const char* kernel_name, RowGroups groups,
+                                  double ops_per_row,
+                                  const std::tuple<A...>& accessors,
+                                  Body body,
+                                  std::span<const Event> wait_list) {
+  static_assert(kLaunchGrain % kReduceGroupSize == 0);
+  const std::size_t n = groups.groups();
+  const double work_units =
+      static_cast<double>(groups.rows) * ops_per_row +
+      static_cast<double>(n * groups.segments * kReduceGroupSize);
+  return EnqueueAccessorKernel(kernel_name, n,
+                               kLaunchGrain / kReduceGroupSize, work_units,
+                               accessors, std::move(body), wait_list);
+}
+
+template <typename... A, typename Body>
+Event CommandQueue::EnqueueAccessorKernel(const char* kernel_name,
+                                          std::size_t items,
+                                          std::size_t grain,
+                                          double work_units,
+                                          const std::tuple<A...>& accessors,
+                                          Body body,
+                                          std::span<const Event> wait_list) {
   static_assert(sizeof...(A) > 0,
                 "an accessor launch declares at least one accessor");
   // The declared set lives on the stack: the span form copies what the
@@ -686,8 +716,8 @@ Event CommandQueue::EnqueueLaunch(const char* kernel_name,
             a.lease_...};
       },
       accessors);
-  return EnqueueLaunch(
-      kernel_name, global_size, ops_per_item,
+  return EnqueueKernel(
+      kernel_name, items, grain, work_units,
       [body = std::move(body), pointers, leases = std::move(leases)](
           std::size_t begin, std::size_t end) {
         std::apply([&](auto... p) { body(begin, end, p...); }, pointers);
@@ -706,11 +736,6 @@ void Device::CopyToHost(const DeviceBuffer<T>& src, std::size_t offset,
                         std::size_t n, T* host) {
   default_queue_->EnqueueCopyToHost(src, offset, n, host).Wait();
 }
-
-/// Work-group size of the binary-tree reductions, mirroring the OpenCL
-/// implementation. Exposed so callers fusing work into a reduction level
-/// (e.g. the engine's batched gradient fold) can size their launches.
-inline constexpr std::size_t kReduceGroupSize = 256;
 
 /// \brief Sums `n` doubles starting at `offset` in a device-resident
 /// buffer via the parallel binary reduction scheme of the paper (Horn, GPU
@@ -749,6 +774,19 @@ void ReduceSumSegments(Device* device, const DeviceBuffer<double>& buffer,
 /// the returned event (see the lifetime discipline in command_queue.h).
 Event EnqueueReduceSumSegments(CommandQueue* queue,
                                const DeviceBuffer<double>& buffer,
+                               std::size_t offset, std::size_t segment_size,
+                               std::size_t num_segments,
+                               DeviceBuffer<double>* out,
+                               std::size_t out_offset = 0);
+
+/// \brief `EnqueueReduceSumSegments` over pooled scratch: the first level
+/// leases `scratch`, so the caller may drop its handle once the levels
+/// are enqueued. Over the group sums of a `RowGroups` producer (segment
+/// size `RowGroups::groups()`) these are levels 2 and up of the tree a
+/// reduction over the producer's rows would run, so the sums keep its
+/// bits.
+Event EnqueueReduceSumSegments(CommandQueue* queue,
+                               const ScratchBuffer& scratch,
                                std::size_t offset, std::size_t segment_size,
                                std::size_t num_segments,
                                DeviceBuffer<double>* out,

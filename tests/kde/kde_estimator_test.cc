@@ -50,9 +50,10 @@ struct EstimatorFixture {
 };
 
 TEST(KdeEstimator, OnlyGradientModelsHoldGradientPartials) {
-  // Slot gradient partials (d*capacity doubles) are allocated by a
-  // slot's first gradient pass: the frozen Heuristic model never runs
-  // one, the Adaptive model does at its first feedback.
+  // No slot holds gradient partials (the gradient producer folds them
+  // into pooled group sums), so the Adaptive model, which runs a
+  // gradient pass at every feedback, holds exactly the slot bytes of the
+  // frozen Heuristic model, which never runs one.
   EstimatorFixture f(41);
   auto heuristic = f.Build(Mode::kHeuristic);
   auto adaptive = f.Build(Mode::kAdaptive);
@@ -65,8 +66,7 @@ TEST(KdeEstimator, OnlyGradientModelsHoldGradientPartials) {
   const std::size_t s = 512;
   const std::size_t slot_bytes = (2 * d + s + d + 1) * sizeof(double);
   EXPECT_EQ(heuristic->engine()->SlotBytes(), slot_bytes);
-  EXPECT_GE(adaptive->engine()->SlotBytes(),
-            slot_bytes + d * s * sizeof(double));
+  EXPECT_EQ(adaptive->engine()->SlotBytes(), slot_bytes);
 }
 
 TEST(KdeEstimator, NamesMatchModes) {

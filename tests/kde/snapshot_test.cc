@@ -7,6 +7,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -659,6 +660,124 @@ TEST(SnapshotCodec, HostileSavedStateReturnsInvalidArgument) {
   const Query probe = MakeQueries(table, 1, 3)[0];
   EXPECT_EQ(catalog.Estimate(key, probe.box).MoveValueOrDie(),
             model->EstimateSelectivity(probe.box));
+}
+
+// Offsets into the blob of the header's dims and of the config fields the
+// decode checks: the header, then the fixed-width config block in
+// ConfigFields order (kde/snapshot.cc).
+struct ConfigLayout {
+  static constexpr std::size_t kDims = 12;
+  static constexpr std::size_t kConfig = LayoutCursor::kHeaderBytes;
+  static constexpr std::size_t kKernel = kConfig + 8;
+  static constexpr std::size_t kLoss = kConfig + 12;
+  static constexpr std::size_t kMiniBatch = kConfig + 32;
+  static constexpr std::size_t kAlpha = kConfig + 40;
+  static constexpr std::size_t kLrMin = kConfig + 48;
+  static constexpr std::size_t kLrMax = kConfig + 56;
+  static constexpr std::size_t kKMax = kConfig + 89;
+  static constexpr std::size_t kThreshold = kConfig + 97;
+  static constexpr std::size_t kKarmaLoss = kConfig + 105;
+  static constexpr std::size_t kBatchLoss = kConfig + 118;
+};
+
+void PutU32(std::vector<std::uint8_t>* blob, std::size_t pos,
+            std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) (*blob)[pos + i] = std::uint8_t(v >> (8 * i));
+}
+
+void PutF64(std::vector<std::uint8_t>* blob, std::size_t pos, double v) {
+  PutU64(blob, pos, std::bit_cast<std::uint64_t>(v));
+}
+
+double F64At(const std::vector<std::uint8_t>& blob, std::size_t pos) {
+  return std::bit_cast<double>(U64At(blob, pos));
+}
+
+// Checksum-valid blobs whose saved configuration would abort a component
+// the rebuild installs (Karma's k_max and threshold, the adaptive
+// optimizer's options), or names no real kernel, loss or dimension count:
+// DecodeModel, RestoreModel and RegisterFromSnapshot return
+// InvalidArgument, and nothing aborts.
+TEST(SnapshotCodec, HostileConfigReturnsInvalidArgument) {
+  const Table table = MakeTable();
+  Device device(DeviceProfile::OpenClCpu());
+  auto model = MakeAdaptive(&device, &table);
+  for (const Query& q : MakeQueries(table, 30, 5)) {
+    (void)model->EstimateSelectivity(q.box);
+    model->ObserveTrueSelectivity(q.box, q.selectivity);
+  }
+  const std::vector<std::uint8_t> blob =
+      SnapshotModel(model.get()).MoveValueOrDie();
+  using L = ConfigLayout;
+  // The offsets land on the fields: the saved values are the config's.
+  const KdeConfig config = SmallConfig();
+  ASSERT_EQ(F64At(blob, L::kKMax), config.karma.k_max);
+  ASSERT_EQ(F64At(blob, L::kThreshold), config.karma.threshold);
+  ASSERT_EQ(F64At(blob, L::kAlpha), config.adaptive.alpha);
+  ASSERT_EQ(F64At(blob, L::kLrMin), config.adaptive.lr_min);
+  ASSERT_EQ(F64At(blob, L::kLrMax), config.adaptive.lr_max);
+  ASSERT_EQ(U64At(blob, L::kMiniBatch), config.adaptive.mini_batch);
+
+  struct Case {
+    std::string name;
+    std::function<void(std::vector<std::uint8_t>*)> edit;
+    std::string message;
+  };
+  const double k_max = F64At(blob, L::kKMax);
+  const double lr_max = F64At(blob, L::kLrMax);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Case> cases = {
+      {"k_max 0", [](auto* b) { PutF64(b, L::kKMax, 0.0); }, "karma"},
+      {"k_max -1", [](auto* b) { PutF64(b, L::kKMax, -1.0); }, "karma"},
+      {"k_max NaN", [&](auto* b) { PutF64(b, L::kKMax, nan); }, "karma"},
+      {"threshold = k_max",
+       [&](auto* b) { PutF64(b, L::kThreshold, k_max); }, "karma"},
+      {"mini_batch 0", [](auto* b) { PutU64(b, L::kMiniBatch, 0); },
+       "adaptive"},
+      {"alpha 0", [](auto* b) { PutF64(b, L::kAlpha, 0.0); }, "adaptive"},
+      {"alpha 1", [](auto* b) { PutF64(b, L::kAlpha, 1.0); }, "adaptive"},
+      {"alpha NaN", [&](auto* b) { PutF64(b, L::kAlpha, nan); }, "adaptive"},
+      {"lr_min 0", [](auto* b) { PutF64(b, L::kLrMin, 0.0); }, "adaptive"},
+      {"lr_min > lr_max",
+       [&](auto* b) { PutF64(b, L::kLrMin, 2.0 * lr_max); }, "adaptive"},
+      {"dims beyond kMaxDims",
+       [](auto* b) { PutU32(b, L::kDims, kb::kMaxDims + 1); }, "dims"},
+      {"kernel enum", [](auto* b) { PutU32(b, L::kKernel, 2); }, "kernel"},
+      {"loss enum", [](auto* b) { PutU32(b, L::kLoss, 5); }, "loss"},
+      {"karma loss enum", [](auto* b) { PutU32(b, L::kKarmaLoss, 99); },
+       "loss"},
+      {"batch loss enum", [](auto* b) { PutU32(b, L::kBatchLoss, 7); },
+       "loss"},
+  };
+
+  auto group = BuildDeviceGroup("cpu").MoveValueOrDie();
+  ModelCatalog catalog(group.get());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::uint8_t> hostile = blob;
+    c.edit(&hostile);
+    SealAsV1(&hostile);
+    auto decoded = DecodeModel(hostile);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsInvalidArgument());
+    EXPECT_NE(decoded.status().message().find(c.message), std::string::npos)
+        << decoded.status().ToString();
+
+    Device target(DeviceProfile::OpenClCpu());
+    auto restored = RestoreModel(hostile, &target, &table);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_TRUE(restored.status().IsInvalidArgument())
+        << restored.status().ToString();
+
+    ModelSpec spec;
+    spec.config = SmallConfig();
+    spec.table = &table;
+    const ModelKey key{c.name, {}};
+    const Status registered =
+        catalog.RegisterFromSnapshot(key, std::move(spec), hostile);
+    EXPECT_TRUE(registered.IsInvalidArgument()) << registered.ToString();
+    EXPECT_TRUE(catalog.StatsFor(key).status().IsNotFound());
+  }
 }
 
 }  // namespace

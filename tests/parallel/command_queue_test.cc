@@ -4,6 +4,7 @@
 #include <chrono>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -148,6 +149,43 @@ TEST(CommandQueue, BackToBackCommandsPipelineSubmissionLatency) {
   // 6 ms a fully serialized launch-then-wait sequence would cost.
   EXPECT_NEAR(device.ModeledSeconds(), 4e-3, 1e-9);
   EXPECT_NEAR(device.DeviceBusySeconds(), 3e-3, 1e-9);
+}
+
+// A group launch gives the pool chunks of kLaunchGrain / kReduceGroupSize
+// groups — the rows one chunk of a row launch covers — and books the
+// producer's ops plus kReduceGroupSize per group and segment, what the
+// producer and the first reduction level cost as two launches.
+TEST(CommandQueue, GroupLaunchChunksByRowsAndChargesTheAbsorbedLevel) {
+  ThreadPool pool(2);
+  Device device(DeviceProfile::OpenClCpu(), &pool);
+  const RowGroups groups{16 * kReduceGroupSize + 3, 2};
+  ASSERT_EQ(groups.groups(), 17u);
+  auto out = device.CreateBuffer<double>(2 * groups.groups());
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  device.default_queue()
+      ->EnqueueLaunch("groups", groups, 5.0,
+                      std::tuple(Out(out, 0, 2 * groups.groups())),
+                      [&](std::size_t begin, std::size_t end, double* sums) {
+                        for (std::size_t g = begin; g < end; ++g) {
+                          sums[g] = sums[groups.groups() + g] = 1.0;
+                        }
+                        std::lock_guard<std::mutex> lock(mu);
+                        chunks.emplace_back(begin, end);
+                      })
+      .Wait();
+  std::size_t covered = 0;
+  for (const auto& [begin, end] : chunks) {
+    EXPECT_LE(end - begin, kLaunchGrain / kReduceGroupSize);
+    covered += end - begin;
+  }
+  EXPECT_EQ(covered, groups.groups());
+  EXPECT_GT(chunks.size(), 1u);
+  EXPECT_EQ(device.ledger().kernel_launches, 1u);
+  const double work = static_cast<double>(groups.rows) * 5.0 +
+                      static_cast<double>(17 * 2 * kReduceGroupSize);
+  EXPECT_NEAR(device.DeviceBusySeconds(),
+              work / device.profile().compute_throughput, 1e-15);
 }
 
 TEST(CommandQueue, StatsTrackDepthHighWaterAndDrain) {

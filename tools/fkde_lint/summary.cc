@@ -81,7 +81,7 @@ FunctionFacts DistillFacts(const SourceFile& sf, const FunctionInfo& fn) {
       f.retires_stream = true;
     }
     if (c.name == "Quiesce" || c.name == "SnapshotModel" ||
-        c.name == "SaveSnapshot") {
+        c.name == "SaveSnapshot" || c.name == "SaveModel") {
       f.quiesces = true;
     }
     if (c.name == "Synchronize") f.drains = true;
